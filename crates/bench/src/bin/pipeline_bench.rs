@@ -1,29 +1,14 @@
-//! Pipelined tick engine: the PR 10 perf snapshot for parallel per-shard
-//! planning, plan-ahead double buffering, and the off-lock response
-//! flush.
+//! Tick engine: the perf snapshot for parallel per-shard planning.
 //!
-//! Three lanes, each with its invariant asserted inline while the
-//! snapshot regenerates:
-//!
-//! * **parallel planning** — a multi-device server takes one cold batch
-//!   tick spanning ≥ 2 device shards; every occupied shard's planning
-//!   pass is individually timed. The sequential-equivalent cost is the
-//!   *sum* of the per-shard times, the parallel critical path is their
-//!   *max* — the bench asserts `max < sum` strictly, an arithmetic fact
-//!   about the fan-out that holds even on a 1-core runner where the
-//!   rayon pool degrades to serial execution.
-//! * **plan-ahead** — the same pre-encrypted request stream is drained
-//!   by a serial-tick server and a plan-ahead server; tick counts and
-//!   response frames must match byte for byte, and the pipelined run
-//!   must report at least one genuinely overlapped tick.
-//! * **snapshot between epochs** — a plan-ahead server is snapshotted
-//!   right after a tick that staged its successor; a restored server
-//!   serves the whole stream with **zero** plan-cache misses (both the
-//!   executed and the staged tick's plans travel in the snapshot) and
-//!   bit-identical frames.
+//! A multi-device server takes one cold batch tick spanning ≥ 2 device
+//! shards; every occupied shard's planning pass is individually timed.
+//! The sequential-equivalent cost is the *sum* of the per-shard times, the
+//! parallel critical path is their *max* — the bench asserts `max < sum`
+//! strictly, an arithmetic fact about the fan-out that holds even on a
+//! 1-core runner where the rayon pool degrades to serial execution.
 //!
 //! Simulated metrics (`*_sim_us`, `kernel_launches`) are deterministic
-//! and CI-gated; `wall_*` phase timers are report-only, banded only by
+//! and CI-gated; `wall_*` planning timers are report-only, banded only by
 //! the nightly lane.
 //!
 //! ```text
@@ -31,13 +16,12 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use fides_api::CkksEngine;
 use fides_bench::print_table;
 use fides_client::wire::{EvalRequest, OpProgram, ProgramOp};
 use fides_core::CkksParameters;
-use fides_serve::{PipelineConfig, ServeStats, Server, ServerConfig};
+use fides_serve::{Server, ServerConfig};
 
 const OUT_PATH: &str = "BENCH_PR10.json";
 const LOG_N: usize = 10;
@@ -47,20 +31,9 @@ const LEVELS: usize = 4;
 const SHARD_DEVICES: usize = 4;
 const SHARD_TENANTS: usize = 12;
 
-/// Plan-ahead lane: tenants × requests drained at this batch size.
-const PIPE_TENANTS: usize = 3;
-const PIPE_REQS: usize = 4;
-const PIPE_BATCH: usize = 4;
-
-/// Snapshot lane: two tenants, two requests each, batch 2 — the first
-/// tick executes half the stream and stages the other half.
-const SNAP_TENANTS: usize = 2;
-const SNAP_REQS: usize = 2;
-const SNAP_BATCH: usize = 2;
-
 struct Tenant {
     session: fides_api::Session,
-    reqs: Vec<EvalRequest>,
+    req: EvalRequest,
 }
 
 /// A multiplication chain deep enough that every shard's planning pass
@@ -76,10 +49,10 @@ fn program() -> OpProgram {
     p
 }
 
-/// Pre-encrypts `per_tenant` requests for `n` tenants (session id 0,
-/// rewritten per server), deterministically seeded so every server in a
-/// lane serves identical ciphertext bytes.
-fn tenants(n: usize, per_tenant: usize, seed_base: u64) -> Vec<Tenant> {
+/// Pre-encrypts one request for each of `n` tenants (session id 0,
+/// rewritten once the session opens), deterministically seeded so every
+/// run serves identical ciphertext bytes.
+fn tenants(n: usize) -> Vec<Tenant> {
     let program = program();
     (0..n)
         .map(|t| {
@@ -87,19 +60,15 @@ fn tenants(n: usize, per_tenant: usize, seed_base: u64) -> Vec<Tenant> {
                 .log_n(LOG_N)
                 .levels(LEVELS)
                 .scale_bits(40)
-                .seed(seed_base + t as u64)
+                .seed(10_100 + t as u64)
                 .build()
                 .expect("tenant engine");
             let session = engine.session();
-            let reqs = (0..per_tenant)
-                .map(|r| {
-                    let x = 0.08 + 0.003 * (t * 17 + r) as f64;
-                    session
-                        .eval_request(0, &[&[x, -x, 0.5 * x]], &program)
-                        .expect("encrypt")
-                })
-                .collect();
-            Tenant { session, reqs }
+            let x = 0.08 + 0.003 * (t * 17) as f64;
+            let req = session
+                .eval_request(0, &[&[x, -x, 0.5 * x]], &program)
+                .expect("encrypt");
+            Tenant { session, req }
         })
         .collect()
 }
@@ -130,19 +99,14 @@ fn run_parallel_plan() -> PlanRow {
     let params = CkksParameters::new(LOG_N, LEVELS, 40, 3)
         .expect("bench params")
         .with_num_devices(SHARD_DEVICES);
-    let server = Server::new(
-        ServerConfig::new(params)
-            .batch_size(SHARD_TENANTS)
-            .pipeline(PipelineConfig::default().plan_ahead(false)),
-    )
-    .expect("server");
-    let mix = tenants(SHARD_TENANTS, 1, 10_100);
+    let server = Server::new(ServerConfig::new(params).batch_size(SHARD_TENANTS)).expect("server");
+    let mix = tenants(SHARD_TENANTS);
     let sids = open_all(&server, &mix);
     let tickets: Vec<_> = mix
         .iter()
         .zip(&sids)
         .map(|(t, sid)| {
-            let mut req = t.reqs[0].clone();
+            let mut req = t.req.clone();
             req.session_id = *sid;
             server.submit(req).expect("submit")
         })
@@ -201,186 +165,10 @@ fn run_parallel_plan() -> PlanRow {
     }
 }
 
-struct EngineRun {
-    ticks: usize,
-    frames: Vec<Vec<u8>>,
-    stats: ServeStats,
-    wall_ms: f64,
-}
-
-/// Submits every request up front, then drains run_tick by run_tick —
-/// the shape that keeps a plan-ahead server's double buffer loaded on
-/// every call.
-fn drain(plan_ahead: bool, mix: &[Tenant]) -> EngineRun {
-    let params = CkksParameters::new(LOG_N, LEVELS, 40, 3).expect("bench params");
-    let server = Server::new(
-        ServerConfig::new(params)
-            .batch_size(PIPE_BATCH)
-            .pipeline(PipelineConfig::default().plan_ahead(plan_ahead)),
-    )
-    .expect("server");
-    let sids = open_all(&server, mix);
-    let wall = Instant::now();
-    let tickets: Vec<_> = mix
-        .iter()
-        .zip(&sids)
-        .flat_map(|(t, sid)| {
-            t.reqs.iter().map(|req| {
-                let mut req = req.clone();
-                req.session_id = *sid;
-                server.submit(req).expect("submit")
-            })
-        })
-        .collect();
-    let mut served = 0;
-    let mut ticks = 0;
-    while served < tickets.len() {
-        ticks += 1;
-        assert!(ticks < 256, "tick engine stopped making progress");
-        served += server.run_tick();
-    }
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let frames = tickets
-        .iter()
-        .map(|t| {
-            let resp = t.try_take().expect("ticket filled after the drain");
-            assert!(resp.error.is_none(), "request failed: {:?}", resp.error);
-            resp.to_bytes()
-        })
-        .collect();
-    EngineRun {
-        ticks,
-        frames,
-        stats: server.stats(),
-        wall_ms,
-    }
-}
-
-struct SnapRow {
-    snapshot_bytes: usize,
-    restore_plan_misses: u64,
-    warm_plan_hits: u64,
-}
-
-/// Snapshot a plan-ahead server between epochs (one tick executed, the
-/// next staged) and prove the restored server replans nothing.
-fn run_snapshot_between_epochs() -> SnapRow {
-    let mix = tenants(SNAP_TENANTS, SNAP_REQS, 10_300);
-    let config = || {
-        ServerConfig::new(CkksParameters::new(LOG_N, LEVELS, 40, 3).expect("bench params"))
-            .batch_size(SNAP_BATCH)
-            .pipeline(PipelineConfig::default().plan_ahead(true))
-    };
-
-    // Serial reference frames for the full stream.
-    let reference = Server::new(
-        ServerConfig::new(CkksParameters::new(LOG_N, LEVELS, 40, 3).expect("bench params"))
-            .batch_size(SNAP_BATCH)
-            .pipeline(PipelineConfig::default().plan_ahead(false)),
-    )
-    .expect("reference server");
-    let ref_sids = open_all(&reference, &mix);
-    let expected: Vec<Vec<u8>> = mix
-        .iter()
-        .zip(&ref_sids)
-        .flat_map(|(t, sid)| {
-            t.reqs.iter().map(|req| {
-                let mut req = req.clone();
-                req.session_id = *sid;
-                reference.eval(req).expect("reference eval").to_bytes()
-            })
-        })
-        .collect();
-
-    // The victim: first tick executes SNAP_BATCH requests and stages the
-    // rest; the snapshot lands between the two epochs.
-    let victim = Server::new(config()).expect("victim server");
-    let sids = open_all(&victim, &mix);
-    let submit_all = |server: &Server| -> Vec<fides_serve::Ticket> {
-        mix.iter()
-            .zip(&sids)
-            .flat_map(|(t, sid)| {
-                t.reqs.iter().map(|req| {
-                    let mut req = req.clone();
-                    req.session_id = *sid;
-                    server.submit(req).expect("submit")
-                })
-            })
-            .collect()
-    };
-    let _in_flight = submit_all(&victim);
-    assert_eq!(victim.run_tick(), SNAP_BATCH, "first tick serves one batch");
-    assert!(
-        victim.stats().overlapped_ticks >= 1,
-        "the first tick must have staged its successor"
-    );
-    let mut image = Vec::new();
-    victim
-        .snapshot(&mut image)
-        .expect("snapshot between epochs");
-    drop(victim);
-
-    // The restored server serves the whole stream warm.
-    let restored = Server::new(config()).expect("restored server");
-    let n = restored.restore(&image[..]).expect("restore");
-    assert_eq!(n, SNAP_TENANTS as u64, "every session restores");
-    let tickets = submit_all(&restored);
-    let mut served = 0;
-    while served < tickets.len() {
-        served += restored.run_tick();
-    }
-    let frames: Vec<Vec<u8>> = tickets
-        .iter()
-        .map(|t| {
-            let resp = t.try_take().expect("served after restore");
-            assert!(resp.error.is_none(), "request failed: {:?}", resp.error);
-            resp.to_bytes()
-        })
-        .collect();
-    assert_eq!(
-        frames, expected,
-        "restored frames must match the serial reference bit for bit"
-    );
-    let s = restored.stats();
-    assert_eq!(
-        s.plan_cache_misses, 0,
-        "both the executed and the staged tick's plans travel in the snapshot"
-    );
-    assert!(s.warm_plan_hits >= 1, "restored plans serve the warm ticks");
-
-    SnapRow {
-        snapshot_bytes: image.len(),
-        restore_plan_misses: s.plan_cache_misses,
-        warm_plan_hits: s.warm_plan_hits,
-    }
-}
-
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| OUT_PATH.into());
 
     let plan = run_parallel_plan();
-
-    let mix = tenants(PIPE_TENANTS, PIPE_REQS, 10_200);
-    let serial = drain(false, &mix);
-    let pipelined = drain(true, &mix);
-    assert_eq!(
-        pipelined.frames, serial.frames,
-        "plan-ahead changed response bytes"
-    );
-    assert_eq!(
-        pipelined.ticks, serial.ticks,
-        "plan-ahead moved completions across ticks"
-    );
-    assert!(
-        pipelined.stats.overlapped_ticks >= 1,
-        "a multi-tick drain must engage the double buffer"
-    );
-    assert_eq!(
-        serial.stats.overlapped_ticks, 0,
-        "serial ticks never overlap"
-    );
-
-    let snap = run_snapshot_between_epochs();
 
     print_table(
         "parallel per-shard planning (one cold tick)",
@@ -406,38 +194,6 @@ fn main() {
             ),
         ]],
     );
-    print_table(
-        "plan-ahead vs serial ticks (same pre-encrypted stream)",
-        &[
-            "engine",
-            "ticks",
-            "overlapped",
-            "plan us",
-            "replay us",
-            "flush us",
-            "wall ms",
-        ],
-        &[&serial, &pipelined]
-            .iter()
-            .zip(["serial", "plan-ahead"])
-            .map(|(r, name)| {
-                vec![
-                    name.to_string(),
-                    r.ticks.to_string(),
-                    r.stats.overlapped_ticks.to_string(),
-                    r.stats.plan_us.to_string(),
-                    r.stats.replay_us.to_string(),
-                    r.stats.flush_us.to_string(),
-                    format!("{:.2}", r.wall_ms),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!(
-        "\nframes bit-identical serial vs plan-ahead; snapshot between epochs: \
-         {} bytes, restored server replans nothing ({} warm hits)",
-        snap.snapshot_bytes, snap.warm_plan_hits
-    );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -451,8 +207,7 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"params\": \"[logN, L, dnum] = [{LOG_N}, {LEVELS}, 3]; planning lane \
-         {SHARD_DEVICES} devices x {SHARD_TENANTS} tenants; plan-ahead lane \
-         {PIPE_TENANTS} tenants x {PIPE_REQS} reqs at batch {PIPE_BATCH}\","
+         {SHARD_DEVICES} devices x {SHARD_TENANTS} tenants\","
     );
     let _ = writeln!(json, "    \"parallel_planning\": {{");
     let _ = writeln!(json, "      \"shards\": {},", plan.shards);
@@ -478,36 +233,6 @@ fn main() {
         "      \"wall_plan_speedup_x\": {:.3}",
         plan.wall_plan_seq_us as f64 / plan.wall_plan_critical_us as f64
     );
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"plan_ahead\": {{");
-    let _ = writeln!(json, "      \"ticks\": {},", pipelined.ticks);
-    let _ = writeln!(json, "      \"served\": {},", pipelined.frames.len());
-    let _ = writeln!(
-        json,
-        "      \"wall_overlapped_ticks\": {},",
-        pipelined.stats.overlapped_ticks
-    );
-    let _ = writeln!(
-        json,
-        "      \"wall_serial_ms\": {:.3}, \"wall_pipelined_ms\": {:.3},",
-        serial.wall_ms, pipelined.wall_ms
-    );
-    let _ = writeln!(
-        json,
-        "      \"wall_plan_us\": {}, \"wall_replay_us\": {}, \"wall_flush_us\": {},",
-        pipelined.stats.plan_us, pipelined.stats.replay_us, pipelined.stats.flush_us
-    );
-    let _ = writeln!(json, "      \"frames_bit_identical\": true");
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"snapshot_between_epochs\": {{");
-    let _ = writeln!(json, "      \"snapshot_bytes\": {},", snap.snapshot_bytes);
-    let _ = writeln!(
-        json,
-        "      \"restore_plan_misses\": {},",
-        snap.restore_plan_misses
-    );
-    let _ = writeln!(json, "      \"warm_plan_hits\": {},", snap.warm_plan_hits);
-    let _ = writeln!(json, "      \"frames_bit_identical\": true");
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");

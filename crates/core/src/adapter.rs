@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use fides_client::{Domain, RawCiphertext, RawPlaintext, RawPoly, RawSwitchingKey};
+use fides_client::{Domain, RawCiphertext, RawParams, RawPlaintext, RawPoly, RawSwitchingKey};
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
@@ -146,33 +146,60 @@ pub fn placeholder_ciphertext(
     Ciphertext::zero(ctx, level, scale, slots)
 }
 
+/// Checks a switching key's shape against the parameter chain: exactly
+/// the `dnum` digits keygen emits, `L + 1 + α` limbs per digit component
+/// and, when `functional`, `N` coefficients per limb (cost-only contexts
+/// never read key data, so their placeholder keys carry empty limbs).
+///
+/// Session opens run this before a key is stored, so a malformed upload
+/// is rejected at the boundary instead of panicking inside a later batch
+/// tick that other tenants share.
+///
+/// # Errors
+///
+/// [`FidesError::KeyShape`] naming the first count that does not match.
+pub fn check_switching_key(raw: &RawParams, key: &RawSwitchingKey, functional: bool) -> Result<()> {
+    let shape = |what, expected, found| {
+        if expected == found {
+            Ok(())
+        } else {
+            Err(FidesError::KeyShape {
+                what,
+                expected,
+                found,
+            })
+        }
+    };
+    let chain = raw.moduli_q.len() + raw.moduli_p.len();
+    for d in &key.digits {
+        for poly in [&d.b, &d.a] {
+            shape("limbs", chain, poly.limbs.len())?;
+            if functional {
+                for limb in &poly.limbs {
+                    shape("coefficients", raw.n(), limb.len())?;
+                }
+            }
+        }
+    }
+    shape("digits", raw.dnum, key.digits.len())
+}
+
 /// Uploads a switching key (relinearization / rotation / conjugation).
 ///
 /// # Errors
 ///
-/// [`FidesError::KeyShape`] if any digit's limb count does not match the
-/// context chain, [`FidesError::DomainMismatch`] if a digit is not in
-/// evaluation domain.
+/// [`FidesError::KeyShape`] if the key's shape does not match the context
+/// chain (see [`check_switching_key`]), [`FidesError::DomainMismatch`] if a
+/// digit is not in evaluation domain.
 pub fn load_switching_key(
     ctx: &Arc<CkksContext>,
     raw: &RawSwitchingKey,
 ) -> Result<KeySwitchingKey> {
+    check_switching_key(ctx.raw_params(), raw, ctx.gpu().is_functional())?;
     let expected = ctx.max_level() + 1 + ctx.alpha();
     let mut digits = Vec::with_capacity(raw.digits.len());
     let mut bytes = 0u64;
     for d in &raw.digits {
-        if d.b.limbs.len() != expected {
-            return Err(FidesError::KeyShape {
-                expected,
-                found: d.b.limbs.len(),
-            });
-        }
-        if d.a.limbs.len() != expected {
-            return Err(FidesError::KeyShape {
-                expected,
-                found: d.a.limbs.len(),
-            });
-        }
         bytes += (2 * expected * ctx.n() * 8) as u64;
         let b = extended_poly_from_host(ctx, &d.b)?;
         let a = extended_poly_from_host(ctx, &d.a)?;
@@ -371,7 +398,35 @@ mod tests {
         let expected = c.max_level() + 1 + c.alpha();
         assert!(matches!(
             load_switching_key(&c, &bad),
-            Err(FidesError::KeyShape { expected: e, found: 2 }) if e == expected
+            Err(FidesError::KeyShape { what: "limbs", expected: e, found: 2 }) if e == expected
+        ));
+    }
+
+    #[test]
+    fn missing_digits_and_short_limbs_rejected_typed() {
+        let c = ctx();
+        let chain = c.max_level() + 1 + c.alpha();
+        let digit = || fides_client::RawKeyDigit {
+            b: RawPoly::zero(c.n(), chain, Domain::Eval),
+            a: RawPoly::zero(c.n(), chain, Domain::Eval),
+        };
+        let dnum = c.raw_params().dnum;
+        let good = RawSwitchingKey {
+            digits: (0..dnum).map(|_| digit()).collect(),
+        };
+        assert!(load_switching_key(&c, &good).is_ok());
+
+        let no_digits = RawSwitchingKey { digits: Vec::new() };
+        assert!(matches!(
+            load_switching_key(&c, &no_digits),
+            Err(FidesError::KeyShape { what: "digits", expected, found: 0 }) if expected == dnum
+        ));
+
+        let mut short_limb = good.clone();
+        short_limb.digits[0].b.limbs[0].pop();
+        assert!(matches!(
+            load_switching_key(&c, &short_limb),
+            Err(FidesError::KeyShape { what: "coefficients", expected, found }) if expected == c.n() && found == c.n() - 1
         ));
     }
 }

@@ -410,6 +410,7 @@ impl HostContext {
         let digits = self.partition.digits_at_level(level);
         if key.digits.len() < digits {
             return Err(FidesError::KeyShape {
+                what: "digits",
                 expected: digits,
                 found: key.digits.len(),
             });
@@ -419,6 +420,7 @@ impl HostContext {
             for limbs in [&d.b.limbs, &d.a.limbs] {
                 if limbs.len() != chain {
                     return Err(FidesError::KeyShape {
+                        what: "limbs",
                         expected: chain,
                         found: limbs.len(),
                     });

@@ -52,11 +52,14 @@ pub enum FidesError {
         /// Maximum level the chain supports.
         max: usize,
     },
-    /// A switching key's limb count does not match the context chain.
+    /// A switching key's shape does not match the context chain.
     KeyShape {
-        /// Limbs the chain requires per digit component.
+        /// What was counted: `"digits"` per key, `"limbs"` per digit
+        /// component, or `"coefficients"` per limb.
+        what: &'static str,
+        /// Count the chain requires.
         expected: usize,
-        /// Limbs the key carries.
+        /// Count the key carries.
         found: usize,
     },
     /// A client-side operation failed (encode / encrypt / serialization).
@@ -97,10 +100,14 @@ impl fmt::Display for FidesError {
             FidesError::LevelOutOfRange { level, max } => {
                 write!(f, "level {level} out of range (chain supports 0..={max})")
             }
-            FidesError::KeyShape { expected, found } => {
+            FidesError::KeyShape {
+                what,
+                expected,
+                found,
+            } => {
                 write!(
                     f,
-                    "switching key shape mismatch: expected {expected} limbs, found {found}"
+                    "switching key shape mismatch: expected {expected} {what}, found {found}"
                 )
             }
             FidesError::Client(msg) => write!(f, "client operation failed: {msg}"),

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fides_gpu_sim::BufferId;
+use rayon::prelude::*;
 
 use super::graph::{ExecGraph, GraphOp};
 use super::plan::{ExecPlan, PlanConfig, PlanStep, Planner};
@@ -55,8 +56,8 @@ pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) 
     h.u64(cfg.dep_schedule as u64);
     h.u64(cfg.num_streams as u64);
     h.u64(cfg.max_fuse as u64);
-    // Topology is part of the key: a plan ranked under one device model or
-    // partitioned for one device count must never rebind onto another.
+    // The device model and device count are part of the key: a plan
+    // ranked for one fleet must never rebind onto another.
     h.u64(cfg.devices as u64);
     for w in cfg.cost.fingerprint_words() {
         h.u64(w);
@@ -105,9 +106,10 @@ pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) 
 }
 
 /// Plans every graph in `graphs` under `cfg`, fanning the planning passes
-/// out over at most `workers` threads (`0` resolves the ambient rayon
-/// worker count). Returns, in input order, each graph's plan paired with
-/// the wall microseconds its own planning pass took.
+/// out over the ambient rayon pool (`FIDES_WORKERS`, or a
+/// [`ThreadPool::install`](rayon::ThreadPool::install) width). Returns, in
+/// input order, each graph's plan paired with the wall microseconds its own
+/// planning pass took.
 ///
 /// This is the cache-miss fan-out for batch servers whose per-shard
 /// graphs are independent by construction: `Planner::plan` is a pure
@@ -115,17 +117,16 @@ pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) 
 /// sequential ones at every worker count — only the wall time changes.
 /// Fingerprinting and cache bookkeeping stay on the calling thread; only
 /// the planning passes themselves run in parallel.
-pub fn plan_parallel(
-    cfg: &PlanConfig,
-    graphs: &[&ExecGraph],
-    workers: usize,
-) -> Vec<(ExecPlan, u64)> {
+pub fn plan_parallel(cfg: &PlanConfig, graphs: &[&ExecGraph]) -> Vec<(ExecPlan, u64)> {
     let cfg = *cfg;
-    rayon::map_bounded(workers, graphs.len(), move |i| {
-        let t0 = Instant::now();
-        let plan = Planner::new(cfg).plan(graphs[i]);
-        (plan, t0.elapsed().as_micros() as u64)
-    })
+    (0..graphs.len())
+        .into_par_iter()
+        .map(move |i| {
+            let t0 = Instant::now();
+            let plan = Planner::new(cfg).plan(graphs[i]);
+            (plan, t0.elapsed().as_micros() as u64)
+        })
+        .collect()
 }
 
 struct CacheEntry {
@@ -588,8 +589,12 @@ mod tests {
         ];
         let refs: Vec<&ExecGraph> = graphs.iter().collect();
         let seq: Vec<ExecPlan> = graphs.iter().map(|g| Planner::new(cfg()).plan(g)).collect();
-        for workers in [0, 1, 2, 8] {
-            let par = plan_parallel(&cfg(), &refs, workers);
+        for workers in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .unwrap();
+            let par = pool.install(|| plan_parallel(&cfg(), &refs));
             assert_eq!(par.len(), seq.len());
             for (i, ((plan, _us), expect)) in par.iter().zip(&seq).enumerate() {
                 assert_eq!(

@@ -10,8 +10,7 @@ use super::plan::{ExecPlan, PlanStep};
 ///
 /// The gpu-sim backend replays plans onto the multi-stream timeline
 /// ([`GpuReplayExecutor`]); a real CUDA backend would issue the same steps
-/// as graph launches, and a multi-GPU backend would partition the plan
-/// across devices before executing each shard.
+/// as graph launches.
 pub trait PlanExecutor {
     /// Runs every step of the plan in issue order.
     fn execute(&self, plan: &ExecPlan);

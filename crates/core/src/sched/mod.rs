@@ -85,7 +85,7 @@
 //! [`SchedStats`], [`SimStats`](fides_gpu_sim::SimStats) and the serve
 //! layer's `ServeStats`. When several *independent* graphs miss at once
 //! (the serve layer's per-device batch shards), [`plan_parallel`] fans
-//! the planning passes out over a bounded rayon pool — `Planner::plan`
+//! the planning passes out over the rayon pool — `Planner::plan`
 //! is a pure function of `(config, graph)`, so the plans are identical
 //! to the sequential ones at every worker count, and each pass's wall
 //! microseconds come back for the owner's planning-latency ledger
@@ -106,16 +106,10 @@
 //! ([`SimStats::stream_occupancy`](fides_gpu_sim::SimStats::stream_occupancy))
 //! and fences are applied only at the recorded cross-limb sync points.
 //!
-//! **Distribution.** The same graph can be cut across a simulated
-//! multi-device topology instead of replaying on one device: [`partition`]
-//! weighs kernel nodes with a per-device [`CostModel`], prices dependency
-//! edges as transfer time over the modeled interconnect
-//! ([`Topology`]), seeds a cost-balanced contiguous split and refines it
-//! with KL-style boundary sweeps, then emits per-device [`ExecPlan`]
-//! shards interleaved with explicit [`DistStep::Transfer`] hops.
-//! [`DistExecutor`] drives one [`GpuReplayExecutor`] per device of a
-//! [`GpuCluster`](fides_gpu_sim::GpuCluster) off a shared host clock,
-//! serializing cut-edge payloads on the link.
+//! **Distribution.** Graphs are never cut across devices. The serve layer
+//! shards *tenants* over simulated devices and records, plans and replays
+//! one graph per device shard; [`CostModel`] and the device count in
+//! [`PlanConfig`] key its plans per fleet.
 //!
 //! # Knobs
 //!
@@ -131,7 +125,6 @@ mod dag;
 mod exec;
 mod graph;
 mod mem;
-mod partition;
 mod persist;
 mod plan;
 mod topo;
@@ -140,7 +133,6 @@ pub use cache::{fingerprint, plan_parallel, PlanCache};
 pub use exec::{GpuReplayExecutor, PlanExecutor};
 pub use graph::{ExecGraph, GraphOp, KernelNode};
 pub use mem::MemPlan;
-pub use partition::{partition, DistExecutor, DistPlan, DistStats, DistStep};
 pub use persist::{decode_plan_entry, encode_plan_entry};
 pub use plan::{ExecPlan, PlanConfig, PlanStep, Planner, SchedStats};
-pub use topo::{CostModel, Topology};
+pub use topo::CostModel;

@@ -32,9 +32,9 @@ pub struct PlanConfig {
     /// [`CostModel::from_spec`](super::CostModel::from_spec) (the default
     /// keeps the historical hard-coded figures for device-free callers).
     pub cost: super::CostModel,
-    /// Devices the plan targets. `1` plans a single-device graph; larger
-    /// values feed the partitioner and — crucially — the fingerprint, so a
-    /// cached plan never rebinds across a topology change.
+    /// Device shards of the server the plan belongs to. It feeds only the
+    /// fingerprint, so a cached plan never rebinds across a change in
+    /// device count.
     pub devices: usize,
 }
 

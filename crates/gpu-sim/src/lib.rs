@@ -45,7 +45,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-pub use cluster::{GpuCluster, InterconnectSpec, LinkStats};
+pub use cluster::{GpuCluster, InterconnectSpec};
 pub use device::{DeviceKind, DeviceSpec};
 pub use kernel::{
     KernelDesc, KernelKind, ADD_OPS, BARRETT_MULMOD_OPS, BUTTERFLY_OPS, LOW_MUL_OPS, MODADD_OPS,

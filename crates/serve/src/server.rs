@@ -76,9 +76,6 @@ pub struct ServerConfig {
     pub admission_capacity: usize,
     /// How queued requests are released into batch ticks.
     pub qos: QosPolicy,
-    /// Tick-pipelining knobs (plan-ahead double buffering, planning
-    /// fan-out width). Defaults to [`PipelineConfig::from_env`].
-    pub pipeline: PipelineConfig,
 }
 
 impl ServerConfig {
@@ -93,7 +90,6 @@ impl ServerConfig {
             max_sessions: 64,
             admission_capacity: 1024,
             qos: QosPolicy::default(),
-            pipeline: PipelineConfig::from_env(),
         }
     }
 
@@ -124,72 +120,6 @@ impl ServerConfig {
     /// Cross-tenant scheduling policy for the admission queue.
     pub fn qos(mut self, qos: QosPolicy) -> Self {
         self.qos = qos;
-        self
-    }
-
-    /// Tick-pipelining knobs.
-    pub fn pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-}
-
-/// Knobs for the pipelined tick engine.
-///
-/// Every tick runs as two epochs — an **admission epoch** (drain the
-/// queue, resolve sessions, record the batch graphs, plan or look up
-/// cached plans) and an **execution epoch** (replay the planned launches
-/// on the simulated devices) — each under its own lock. With
-/// `plan_ahead` off the epochs run back to back inside one `run_tick`
-/// call, which is byte-for-byte the classic serial tick (plus the
-/// response flush moving off-lock). With `plan_ahead` on, `run_tick`
-/// overlaps tick *N*'s execution epoch with tick *N+1*'s admission
-/// epoch: planning for the next batch runs while the current one
-/// replays, and the prepared tick is staged for whoever ticks next.
-///
-/// Responses cannot change: functional CKKS math runs at record time
-/// inside the admission epoch, and the execution epoch only advances the
-/// simulated timeline — so frames are byte-identical at every setting
-/// (the determinism suite pins this).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Overlap tick *N*'s execution epoch with tick *N+1*'s admission
-    /// epoch (plan-ahead double buffering). Off by default — opt in per
-    /// server, or set `FIDES_PLAN_AHEAD=1`.
-    pub plan_ahead: bool,
-    /// Worker cap for the parallel planning fan-out when several device
-    /// shards miss the plan cache in one tick (`0`: the ambient rayon
-    /// width, which honors `FIDES_WORKERS`). Cache lookups always stay
-    /// on the calling thread; only misses fan out.
-    pub plan_workers: usize,
-}
-
-impl PipelineConfig {
-    /// The default configuration with `plan_ahead` taken from the
-    /// `FIDES_PLAN_AHEAD` environment variable (`1`/`true`/`on`), so CI
-    /// matrices and benches flip the knob without plumbing config.
-    pub fn from_env() -> Self {
-        let plan_ahead = std::env::var("FIDES_PLAN_AHEAD")
-            .map(|v| {
-                let v = v.trim();
-                v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-            })
-            .unwrap_or(false);
-        Self {
-            plan_ahead,
-            ..Self::default()
-        }
-    }
-
-    /// Enables plan-ahead double buffering.
-    pub fn plan_ahead(mut self, on: bool) -> Self {
-        self.plan_ahead = on;
-        self
-    }
-
-    /// Caps the planning fan-out width (`0`: ambient rayon width).
-    pub fn plan_workers(mut self, workers: usize) -> Self {
-        self.plan_workers = workers;
         self
     }
 }
@@ -241,12 +171,11 @@ struct ShardExec {
     hit: bool,
 }
 
-/// A tick that has finished its admission epoch: requests drained and
-/// resolved, functional math already run at record time, responses
-/// computed, and every shard's graph planned (or fetched from the plan
-/// cache). All that remains is the execution epoch — replaying the
-/// shard plans onto the simulated timeline — and the off-lock response
-/// flush.
+/// A prepared tick: requests drained and resolved, functional math
+/// already run at record time, responses computed, and every shard's
+/// graph planned (or fetched from the plan cache). What remains is
+/// replaying the shard plans onto the simulated timeline and the
+/// off-lock response flush.
 struct PreparedTick {
     resolved: Vec<(Pending, Option<Arc<SessionState>>)>,
     responses: Vec<EvalResponse>,
@@ -280,21 +209,11 @@ struct ServerInner {
     /// sustained imbalance).
     router: Mutex<ShardRouter>,
     queue: Mutex<AdmissionQueue<Pending>>,
-    pipeline: PipelineConfig,
-    /// Serializes **admission epochs**: queue draining (so DRR credits
-    /// snapshot at epoch boundaries), session resolution, graph capture
-    /// and planning. Exactly one tick is being prepared at a time.
-    prep_lock: Mutex<()>,
-    /// Serializes **execution epochs**: replay of planned launches onto
-    /// the simulated devices, the served-request counters, and migration
-    /// decisions. Always acquired *after* `prep_lock` when a caller needs
-    /// both (serial ticks, snapshot, restore, warmup) — plan-ahead's
-    /// overlap takes them from sibling closures, never nested the other
-    /// way, so the order is deadlock-free.
-    exec_lock: Mutex<()>,
-    /// Plan-ahead's double buffer: the tick prepared during the previous
-    /// execution epoch, waiting for whoever runs the next tick.
-    staged: Mutex<Option<PreparedTick>>,
+    /// Serializes batch ticks — queue draining (so DRR credits snapshot at
+    /// tick boundaries), session resolution, capture, planning, replay and
+    /// migration — against each other and against snapshot, restore and
+    /// warmup. The response flush runs after it releases.
+    tick_lock: Mutex<()>,
     stats: Mutex<ServeStats>,
     /// Bounded LRU of planned batch graphs: steady-state ticks (same
     /// request mix, same programs) replay a cached plan with zero
@@ -383,10 +302,7 @@ impl Server {
                     config.qos,
                     config.admission_capacity.max(1),
                 )),
-                pipeline: config.pipeline,
-                prep_lock: Mutex::new(()),
-                exec_lock: Mutex::new(()),
-                staged: Mutex::new(None),
+                tick_lock: Mutex::new(()),
                 stats: Mutex::new(ServeStats::default()),
                 plan_cache: Mutex::new(PlanCache::default()),
             }),
@@ -482,7 +398,9 @@ impl Server {
     /// # Errors
     ///
     /// [`ServeError::ParamsMismatch`] for a foreign chain,
-    /// [`ServeError::Fides`] when key material fails to load.
+    /// [`ServeError::Fides`] when key material fails to load — a key whose
+    /// digit count, limb count or limb length does not match the chain is
+    /// a [`FidesError::KeyShape`](fides_core::FidesError::KeyShape).
     pub fn open_session(&self, req: SessionRequest) -> Result<u64, ServeError> {
         check_params_hash(self.inner.params_hash, req.params_hash)?;
         let device = match &self.inner.substrate {
@@ -526,6 +444,10 @@ impl Server {
                 })
             }
             Substrate::Cpu { raw, workers } => {
+                let rotations = req.rotations.iter().map(|(_, key)| key);
+                for key in req.relin.iter().chain(rotations).chain(&req.conjugation) {
+                    adapter::check_switching_key(raw, key, true)?;
+                }
                 let mut backend = CpuBackend::new(raw.clone());
                 if let Some(workers) = workers {
                     backend = backend.with_workers(*workers);
@@ -647,16 +569,12 @@ impl Server {
     /// stream: the parameter fingerprint, the tenant registry (session
     /// ids, device homes, DRR weights, full key uploads) in LRU order,
     /// the shard router's committed placements, and every cached batch
-    /// plan. Taken under both epoch locks, so the snapshot is a
-    /// consistent point between batch ticks — never mid-admission and
-    /// never mid-replay.
+    /// plan. Taken under the tick lock, so the snapshot is a consistent
+    /// point between batch ticks.
     ///
     /// Queued-but-unserved requests are deliberately *not* captured:
     /// clients hold their tickets and resubmit after a restart, exactly
-    /// as they do after a load-shed. Under plan-ahead a *staged* tick
-    /// (prepared but not yet executed) is the same story — its requests
-    /// are unserved, its plans are already in the cache and therefore in
-    /// the snapshot.
+    /// as they do after a load-shed.
     ///
     /// # Errors
     ///
@@ -664,8 +582,7 @@ impl Server {
     /// [`ServeError::Snapshot`] when a resident session retains no key
     /// upload to serialize.
     pub fn snapshot<W: Write>(&self, w: W) -> Result<(), ServeError> {
-        let _prep = self.inner.prep_lock.lock();
-        let _exec = self.inner.exec_lock.lock();
+        let _tick = self.inner.tick_lock.lock();
         let (sessions, next_session_id) = {
             let registry = self.inner.registry.lock();
             (registry.export(), registry.next_id())
@@ -756,8 +673,7 @@ impl Server {
     /// or index mismatch, duplicate session ids, or record counts that
     /// disagree with the stream's own metadata.
     pub fn restore<R: Read>(&self, r: R) -> Result<u64, ServeError> {
-        let _prep = self.inner.prep_lock.lock();
-        let _exec = self.inner.exec_lock.lock();
+        let _tick = self.inner.tick_lock.lock();
         let mut reader = RecordReader::new(r)?;
         let params = match reader.next_record()? {
             Some(rec) if rec.kind == kind::PARAMS => ParamsRecord::decode(&rec.payload)?,
@@ -899,8 +815,7 @@ impl Server {
     /// validation; [`ServeError::Snapshot`] when a shape's synthetic batch
     /// fails to execute.
     pub fn warmup(&self, shapes: &[WarmupShape]) -> Result<usize, ServeError> {
-        let _prep = self.inner.prep_lock.lock();
-        let _exec = self.inner.exec_lock.lock();
+        let _tick = self.inner.tick_lock.lock();
         let Substrate::Gpu { .. } = &self.inner.substrate else {
             return Ok(0);
         };
@@ -944,10 +859,10 @@ impl Server {
                     })
                     .collect::<Result<_, ServeError>>()?
             };
-            // Synthetic ticks ride the same two epochs as live traffic
-            // (both locks are held across the whole warmup): prepare
-            // records and plans the batch, execute replays it so the
-            // primed timeline matches a live tick's.
+            // Synthetic ticks take the same steps as live traffic (the
+            // tick lock is held across the whole warmup): prepare records
+            // and plans the batch, execute replays it so the primed
+            // timeline matches a live tick's.
             let tick = self.prepare_resolved(resolved, true);
             self.execute_tick(&tick);
             if let Some(err) = tick.responses.into_iter().find_map(|r| r.error) {
@@ -978,76 +893,18 @@ impl Server {
     /// substrate with graph execution on), and fills their tickets.
     /// Returns how many requests the tick served.
     ///
-    /// The tick runs as two epochs — admission (drain + record + plan)
-    /// under `prep_lock`, execution (replay) under `exec_lock` — and the
-    /// response flush happens after both locks release. With
-    /// [`PipelineConfig::plan_ahead`] on, the two epochs of *consecutive*
-    /// ticks overlap: while this call replays its batch, a sibling
-    /// closure prepares the next one and stages it for the next caller.
+    /// Preparation (drain, record, plan) and replay run under the tick
+    /// lock; the response flush happens after it releases.
     pub fn run_tick(&self) -> usize {
-        if !self.inner.pipeline.plan_ahead {
-            // Serial tick: both epochs back to back under their locks —
-            // exactly the classic single-lock tick, with the response
-            // flush moved off-lock.
-            let prep = self.inner.prep_lock.lock();
+        let tick = {
+            let _tick = self.inner.tick_lock.lock();
             let Some(tick) = self.prepare_tick() else {
                 return 0;
             };
-            {
-                let _exec = self.inner.exec_lock.lock();
-                self.execute_tick(&tick);
-            }
-            drop(prep);
-            return self.flush_tick(tick);
-        }
-        // Plan-ahead: take the staged tick (or prepare one inline on the
-        // first call), then overlap its execution epoch with the next
-        // tick's admission epoch.
-        let tick = {
-            let _prep = self.inner.prep_lock.lock();
-            match self.inner.staged.lock().take() {
-                Some(staged) => Some(staged),
-                None => self.prepare_tick(),
-            }
+            self.execute_tick(&tick);
+            tick
         };
-        let Some(tick) = tick else {
-            return 0;
-        };
-        let ((), next) = rayon::join(
-            || {
-                let _exec = self.inner.exec_lock.lock();
-                self.execute_tick(&tick);
-            },
-            || {
-                let _prep = self.inner.prep_lock.lock();
-                self.prepare_tick()
-            },
-        );
-        if next.is_some() {
-            self.inner.stats.lock().overlapped_ticks += 1;
-        }
-        let mut served = self.flush_tick(tick);
-        if let Some(next_tick) = next {
-            let spare = {
-                let mut staged = self.inner.staged.lock();
-                if staged.is_none() {
-                    *staged = Some(next_tick);
-                    None
-                } else {
-                    Some(next_tick)
-                }
-            };
-            // A racing caller staged its own tick first: execute the
-            // spare immediately instead of dropping prepared work.
-            if let Some(spare) = spare {
-                {
-                    let _exec = self.inner.exec_lock.lock();
-                    self.execute_tick(&spare);
-                }
-                served += self.flush_tick(spare);
-            }
-        }
-        served
+        self.flush_tick(tick)
     }
 
     /// Blocking evaluation: enqueues the request and drives batch ticks
@@ -1072,10 +929,10 @@ impl Server {
             }
             if self.run_tick() == 0 {
                 // Nothing left to drain, so our request is inside
-                // another caller's in-flight tick: wait for that
-                // execution epoch to finish (its flush fills our slot
-                // just after the lock releases), then re-check.
-                drop(self.inner.exec_lock.lock());
+                // another caller's in-flight tick: wait for that tick to
+                // finish (its flush fills our slot just after the lock
+                // releases), then re-check.
+                drop(self.inner.tick_lock.lock());
                 std::thread::yield_now();
             }
         }
@@ -1097,11 +954,10 @@ impl Server {
         }
     }
 
-    /// Admission epoch (caller holds `prep_lock`): drains up to
+    /// Prepares a tick (caller holds `tick_lock`): drains up to
     /// `batch_size` queued requests — DRR lane credits snapshot at this
-    /// epoch boundary, exactly as they did at the old tick boundary —
-    /// resolves their sessions, and runs the record/plan pass. Returns
-    /// `None` for an empty queue.
+    /// tick boundary — resolves their sessions, and runs the record/plan
+    /// pass. Returns `None` for an empty queue.
     fn prepare_tick(&self) -> Option<PreparedTick> {
         let batch: Vec<Pending> = self.inner.queue.lock().pop_batch(self.inner.batch_size);
         if batch.is_empty() {
@@ -1124,9 +980,7 @@ impl Server {
 
     /// Runs a resolved batch's record/plan pass. Functional math runs
     /// here — on the graphed path kernels are recorded, not timed — so
-    /// every response is final before the execution epoch even starts;
-    /// that is what makes overlapping execution with the next tick's
-    /// preparation response-invariant.
+    /// every response is final before replay starts.
     fn prepare_resolved(
         &self,
         resolved: Vec<(Pending, Option<Arc<SessionState>>)>,
@@ -1162,7 +1016,7 @@ impl Server {
     /// shard as its own merged graph — with a shard-local round-robin
     /// stream offset — on its own context, then plans the shards: cache
     /// lookups stay on the calling thread, and only misses fan out over
-    /// the bounded rayon pool ([`plan_parallel`]). `Planner::plan` is a
+    /// the rayon pool ([`plan_parallel`]). `Planner::plan` is a
     /// pure function of `(config, graph)`, so the fan-out produces plans
     /// identical to sequential planning at every worker count.
     /// Single-device servers take this path too — with one shard it is
@@ -1259,11 +1113,7 @@ impl Server {
         if !misses.is_empty() {
             let miss_graphs: Vec<&ExecGraph> =
                 misses.iter().map(|m| &graphs[m.slot].graph).collect();
-            let planned = plan_parallel(
-                &self.inner.plan_cfg,
-                &miss_graphs,
-                self.inner.pipeline.plan_workers,
-            );
+            let planned = plan_parallel(&self.inner.plan_cfg, &miss_graphs);
             let mut cache = self.inner.plan_cache.lock();
             for (m, (plan, us)) in misses.into_iter().zip(planned) {
                 cache.insert(m.fp, &plan, m.binding);
@@ -1314,11 +1164,11 @@ impl Server {
         (responses, execs)
     }
 
-    /// Execution epoch (caller holds `exec_lock`): replays every shard's
-    /// planned launches onto its simulated device and accounts the tick's
-    /// served traffic. Replay only advances the simulated timeline —
-    /// responses were finalized in the admission epoch — so nothing here
-    /// can change a frame.
+    /// Executes a prepared tick (caller holds `tick_lock`): replays every
+    /// shard's planned launches onto its simulated device and accounts the
+    /// tick's served traffic. Replay only advances the simulated timeline
+    /// — responses were finalized at prepare time — so nothing here can
+    /// change a frame.
     fn execute_tick(&self, tick: &PreparedTick) {
         let replay_us = match &self.inner.substrate {
             Substrate::Gpu { contexts, .. } => {
@@ -1348,8 +1198,8 @@ impl Server {
         self.maybe_migrate(&tick.resolved);
     }
 
-    /// Fills the tick's tickets — **off-lock**: both epoch locks are
-    /// released before any slot is written, so response delivery (and,
+    /// Fills the tick's tickets — **off-lock**: the tick lock is released
+    /// before any slot is written, so response delivery (and,
     /// behind the socket front, frame serialization) never extends a
     /// tick's critical section. Returns how many requests the tick
     /// served.

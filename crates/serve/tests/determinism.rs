@@ -361,10 +361,10 @@ fn plan_cache_steady_state_hits_and_invalidation() {
     // a cache hit replays a *rebound* plan over fresh buffers.
     //
     // Pinned to one device: each shard plans its own merged graph, so the
-    // miss/hit counts below are per-shard quantities. Topology keying of
-    // the cache (N=1 plan never replays at N=2) is pinned by fides-core's
-    // partition fingerprint tests; cross-placement frame identity by the
-    // `placement` suite.
+    // miss/hit counts below are per-shard quantities. Device-count keying
+    // of the cache (N=1 plan never replays at N=2) is pinned by fides-core's
+    // fingerprint tests; cross-placement frame identity by the `placement`
+    // suite.
     let tenants = tenants(2);
     let server =
         Server::new(ServerConfig::new(params().with_num_devices(1)).batch_size(16)).unwrap();
@@ -534,103 +534,53 @@ fn registry_evicts_lru_and_rejects_foreign_chains() {
     assert_eq!(server.stats().sessions_evicted, 1);
 }
 
-/// Plan-ahead double buffering is frame-invariant: overlapping tick N's
-/// execution epoch with tick N+1's admission epoch must leave every
-/// response frame byte-identical to the serial tick engine — under
-/// single-threaded tick driving and under racing eval threads, at every
-/// point of the FIDES_WORKERS × FIDES_DEVICES matrix. (The QoS suite
-/// pins the flood scenario's tick-for-tick schedule separately.)
+/// A malformed key upload — a relin key with no digits, or one whose
+/// first limb is a coefficient short — is rejected when its session
+/// opens, on both substrates, instead of panicking later inside a batch
+/// tick that other tenants share. An honest tenant's frames stay
+/// identical to an unloaded run.
 #[test]
-fn plan_ahead_frames_match_serial_ticks() {
-    use fides_serve::PipelineConfig;
-    let tenants = tenants(3);
-    let per_tenant = 3;
+fn malformed_key_uploads_rejected_at_open() {
+    use fides_core::FidesError;
+    use fides_serve::ServeError;
+    let tenants = tenants(2);
+    let honest = &tenants[..1];
+    let substrates = [
+        ("gpu-sim", ServeBackend::default()),
+        ("cpu", ServeBackend::Cpu { workers: None }),
+    ];
+    for (name, backend) in substrates {
+        let config = || ServerConfig::new(params()).backend(backend.clone());
+        let reference = Server::new(config()).unwrap();
+        let reqs = requests(honest, &open_all(&reference, honest), 1);
+        let expected = reference.eval(reqs[0].2.clone()).unwrap();
+        assert!(expected.error.is_none());
 
-    // Serial reference: plan-ahead explicitly off (immune to the
-    // FIDES_PLAN_AHEAD matrix axis).
-    let serial = Server::new(
-        ServerConfig::new(params())
-            .batch_size(4)
-            .pipeline(PipelineConfig::default().plan_ahead(false)),
-    )
-    .unwrap();
-    let s_sids = open_all(&serial, &tenants);
-    let reqs = requests(&tenants, &s_sids, per_tenant);
-    let mut expected = BTreeMap::new();
-    for (t, r, req) in &reqs {
-        let resp = serial.eval(req.clone()).unwrap();
-        assert!(resp.error.is_none());
-        expected.insert(
-            (*t, *r),
-            resp.outputs
-                .iter()
-                .map(|ct| ct.to_bytes())
-                .collect::<Vec<_>>(),
-        );
-    }
+        let server = Server::new(config()).unwrap();
+        let sid = open_all(&server, honest)[0];
+        let upload = tenants[1].session.session_request(&[]).unwrap();
+        let mut no_digits = upload.clone();
+        no_digits.relin.as_mut().unwrap().digits.clear();
+        let mut short_limb = upload;
+        short_limb.relin.as_mut().unwrap().digits[0].b.limbs[0].pop();
+        for bad in [no_digits, short_limb] {
+            let err = server.open_session(bad);
+            assert!(
+                matches!(err, Err(ServeError::Fides(FidesError::KeyShape { .. }))),
+                "{name}: malformed relin key must be rejected at open, got {err:?}"
+            );
+        }
+        assert_eq!(server.session_count(), 1);
 
-    // Pipelined, single driver: queue everything, then drain — the first
-    // run_tick stages tick N+1 while tick N replays, so with 9 requests
-    // at batch 4 the double buffer is exercised on every call.
-    let pipelined = Server::new(
-        ServerConfig::new(params())
-            .batch_size(4)
-            .pipeline(PipelineConfig::default().plan_ahead(true)),
-    )
-    .unwrap();
-    let p_sids = open_all(&pipelined, &tenants);
-    let mut my_reqs = reqs.clone();
-    for (t, _, req) in &mut my_reqs {
-        req.session_id = p_sids[*t];
-    }
-    let tickets: Vec<_> = my_reqs
-        .iter()
-        .map(|(t, r, req)| (*t, *r, pipelined.submit(req.clone()).unwrap()))
-        .collect();
-    let mut served = 0;
-    while served < my_reqs.len() {
-        served += pipelined.run_tick();
-    }
-    assert_eq!(
-        served,
-        my_reqs.len(),
-        "plan-ahead drained exactly the queue"
-    );
-    for (t, r, ticket) in &tickets {
-        let resp = ticket.try_take().expect("ticket filled after the drain");
-        assert!(resp.error.is_none());
-        let frames: Vec<Vec<u8>> = resp.outputs.iter().map(|ct| ct.to_bytes()).collect();
+        let mut req = reqs[0].2.clone();
+        req.session_id = sid;
+        let resp = server.eval(req).unwrap();
         assert_eq!(
-            Some(&frames),
-            expected.get(&(*t, *r)),
-            "plan-ahead changed frames (tenant {t} request {r})"
+            resp.to_bytes(),
+            expected.to_bytes(),
+            "{name}: honest tenant's frame changed"
         );
     }
-    let stats = pipelined.stats();
-    assert_eq!(stats.requests, my_reqs.len() as u64);
-    assert!(
-        stats.overlapped_ticks >= 1,
-        "a multi-tick drain must engage the double buffer"
-    );
-
-    // Pipelined, racing eval threads: the staged-tick handoff under
-    // contention must not reorder or alter results either.
-    let racing = Server::new(
-        ServerConfig::new(params())
-            .batch_size(4)
-            .pipeline(PipelineConfig::default().plan_ahead(true)),
-    )
-    .unwrap();
-    let r_sids = open_all(&racing, &tenants);
-    let mut race_reqs = reqs.clone();
-    for (t, _, req) in &mut race_reqs {
-        req.session_id = r_sids[*t];
-    }
-    let got = serve_threaded(&racing, &race_reqs, 4);
-    assert_eq!(
-        got, expected,
-        "racing plan-ahead frames drifted from serial"
-    );
 }
 
 /// The network front preserves the determinism bar end to end: N client
