@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 mod context;
 mod encode;
 mod encrypt;

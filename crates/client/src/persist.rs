@@ -36,13 +36,12 @@
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
+use crate::codec::Reader;
 use crate::error::ClientError;
 use crate::raw::{RawPlaintext, RawSwitchingKey};
-use crate::wire::{
-    get_key, get_opt_key, get_plaintext, need, put_key, put_opt_key, put_plaintext, SessionRequest,
-};
+use crate::wire::{get_key_set, get_plaintext, put_key_set, put_plaintext, SessionRequest};
 
 /// Stream magic: distinguishes a persist stream from every wire frame.
 pub const PERSIST_MAGIC: u32 = 0xF1DE_D15C;
@@ -116,18 +115,6 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), Clien
             io_err(e)
         }
     })
-}
-
-/// Errors unless a record payload was consumed exactly.
-fn expect_consumed(buf: &[u8], what: &str) -> Result<(), ClientError> {
-    if buf.is_empty() {
-        Ok(())
-    } else {
-        Err(ClientError::Serialization(format!(
-            "{} trailing bytes after {what}",
-            buf.len()
-        )))
-    }
 }
 
 /// Writes a persist stream: header, then CRC-guarded records, then the
@@ -215,13 +202,14 @@ impl<R: Read> RecordReader<R> {
     pub fn new(mut r: R) -> Result<Self, ClientError> {
         let mut hdr = [0u8; 8];
         read_exact(&mut r, &mut hdr, "persist header")?;
-        let magic = u32::from_be_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
+        let mut head = Reader::new(&hdr);
+        let magic = head.u32()?;
         if magic != PERSIST_MAGIC {
             return Err(ClientError::Serialization(format!(
                 "bad persist magic {magic:#010x}"
             )));
         }
-        let version = u32::from_be_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]);
+        let version = head.u32()?;
         if version != FORMAT_VERSION {
             return Err(ClientError::UnsupportedFormat {
                 found: version,
@@ -245,17 +233,18 @@ impl<R: Read> RecordReader<R> {
         }
         let mut hdr = [0u8; 5];
         read_exact(&mut self.r, &mut hdr, "record header")?;
-        let kind = hdr[0];
-        let len = u32::from_be_bytes([hdr[1], hdr[2], hdr[3], hdr[4]]) as usize;
+        let mut head = Reader::new(&hdr);
+        let kind = head.u8()?;
+        let len = head.u32()? as usize;
         if len > MAX_RECORD_LEN {
             return Err(ClientError::FrameTooLarge {
                 len: len as u64,
                 max: MAX_RECORD_LEN as u64,
             });
         }
-        // Bounded-capacity growth: a lying length prefix costs at most one
-        // read buffer, never a `len`-sized allocation up front.
-        let mut payload = Vec::with_capacity(len.min(1 << 16));
+        // The buffer grows only as bytes arrive: a lying length prefix
+        // never costs a `len`-sized allocation up front.
+        let mut payload = Vec::new();
         let got = (&mut self.r)
             .take(len as u64)
             .read_to_end(&mut payload)
@@ -310,11 +299,10 @@ impl ParamsRecord {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] for truncation or trailing bytes.
-    pub fn decode(mut payload: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut payload;
-        need(buf, 8, "params record")?;
-        let params_hash = buf.get_u64_le();
-        expect_consumed(buf, "params record")?;
+    pub fn decode(payload: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(payload);
+        let params_hash = r.u64_le()?;
+        r.finish("params record")?;
         Ok(Self { params_hash })
     }
 }
@@ -351,20 +339,16 @@ impl ServerMetaRecord {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] for truncation or trailing bytes.
-    pub fn decode(mut payload: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut payload;
-        need(buf, 20, "server meta record")?;
-        let num_devices = buf.get_u32();
-        let next_session_id = buf.get_u64_le();
-        let sessions = buf.get_u32();
-        let plans = buf.get_u32();
-        expect_consumed(buf, "server meta record")?;
-        Ok(Self {
-            num_devices,
-            next_session_id,
-            sessions,
-            plans,
-        })
+    pub fn decode(payload: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(payload);
+        let meta = Self {
+            num_devices: r.u32()?,
+            next_session_id: r.u64_le()?,
+            sessions: r.u32()?,
+            plans: r.u32()?,
+        };
+        r.finish("server meta record")?;
+        Ok(meta)
     }
 }
 
@@ -385,13 +369,7 @@ impl KeySetRecord {
     /// Serializes the payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_opt_key(&mut buf, &self.relin);
-        buf.put_u32(self.rotations.len() as u32);
-        for (shift, key) in &self.rotations {
-            buf.put_u32(*shift as u32);
-            put_key(&mut buf, key);
-        }
-        put_opt_key(&mut buf, &self.conjugation);
+        put_key_set(&mut buf, &self.relin, &self.rotations, &self.conjugation);
         buf
     }
 
@@ -400,24 +378,11 @@ impl KeySetRecord {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] describing the corruption.
-    pub fn decode(mut payload: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut payload;
-        let relin = get_opt_key(buf)?;
-        need(buf, 4, "rotation count")?;
-        let num_rot = buf.get_u32() as usize;
-        let mut rotations = Vec::with_capacity(num_rot.min(1 << 12));
-        for _ in 0..num_rot {
-            need(buf, 4, "rotation shift")?;
-            let shift = buf.get_u32() as i32;
-            rotations.push((shift, get_key(buf)?));
-        }
-        let conjugation = get_opt_key(buf)?;
-        expect_consumed(buf, "key-set record")?;
-        Ok(Self {
-            relin,
-            rotations,
-            conjugation,
-        })
+    pub fn decode(payload: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(payload);
+        let keys = get_key_set(&mut r)?;
+        r.finish("key-set record")?;
+        Ok(keys)
     }
 }
 
@@ -442,10 +407,10 @@ impl PlaintextRecord {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] describing the corruption.
-    pub fn decode(mut payload: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut payload;
-        let plaintext = get_plaintext(buf)?;
-        expect_consumed(buf, "plaintext record")?;
+    pub fn decode(payload: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(payload);
+        let plaintext = get_plaintext(&mut r)?;
+        r.finish("plaintext record")?;
         Ok(Self { plaintext })
     }
 }
@@ -486,18 +451,14 @@ impl SessionRecord {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] describing the corruption.
-    pub fn decode(mut payload: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut payload;
-        need(buf, 24, "session record header")?;
-        let id = buf.get_u64_le();
-        let device = buf.get_u32();
-        let weight = buf.get_u32();
-        let len = buf.get_u64_le() as usize;
-        need(buf, len, "session upload")?;
-        let (head, rest) = buf.split_at(len);
-        let upload = SessionRequest::from_bytes(head)?;
-        *buf = rest;
-        expect_consumed(buf, "session record")?;
+    pub fn decode(payload: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(payload);
+        let id = r.u64_le()?;
+        let device = r.u32()?;
+        let weight = r.u32()?;
+        let len = usize::try_from(r.u64_le()?).unwrap_or(usize::MAX);
+        let upload = SessionRequest::from_bytes(r.bytes(len)?)?;
+        r.finish("session record")?;
         Ok(Self {
             id,
             device,
@@ -534,18 +495,15 @@ impl PlacementRecord {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] for truncation or trailing bytes.
-    pub fn decode(mut payload: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut payload;
-        need(buf, 20, "placement record")?;
-        let tenant = buf.get_u64_le();
-        let device = buf.get_u32();
-        let key_bytes = buf.get_u64_le();
-        expect_consumed(buf, "placement record")?;
-        Ok(Self {
-            tenant,
-            device,
-            key_bytes,
-        })
+    pub fn decode(payload: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(payload);
+        let placement = Self {
+            tenant: r.u64_le()?,
+            device: r.u32()?,
+            key_bytes: r.u64_le()?,
+        };
+        r.finish("placement record")?;
+        Ok(placement)
     }
 }
 

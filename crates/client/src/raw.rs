@@ -7,9 +7,10 @@
 //! internals and the server's GPU layout, with a compact binary serialization
 //! for the client↔server boundary.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use serde::{Deserialize, Serialize};
 
+use crate::codec::Reader;
 use crate::error::ClientError;
 
 /// Polynomial representation domain.
@@ -189,6 +190,10 @@ pub struct RawPublicKey {
 
 const MAGIC: u32 = 0xF1DE_517B;
 
+/// Smallest encoding of a polynomial: its header (domain tag, limb count,
+/// ring degree) with no limbs.
+pub(crate) const MIN_POLY_BYTES: usize = 9;
+
 pub(crate) fn put_poly(buf: &mut Vec<u8>, poly: &RawPoly) {
     buf.put_u8(match poly.domain {
         Domain::Coeff => 0,
@@ -203,13 +208,8 @@ pub(crate) fn put_poly(buf: &mut Vec<u8>, poly: &RawPoly) {
     }
 }
 
-pub(crate) fn get_poly(buf: &mut &[u8]) -> Result<RawPoly, ClientError> {
-    if buf.remaining() < 9 {
-        return Err(ClientError::Serialization(
-            "truncated polynomial header".into(),
-        ));
-    }
-    let domain = match buf.get_u8() {
+pub(crate) fn get_poly(r: &mut Reader) -> Result<RawPoly, ClientError> {
+    let domain = match r.u8()? {
         0 => Domain::Coeff,
         1 => Domain::Eval,
         d => {
@@ -218,24 +218,18 @@ pub(crate) fn get_poly(buf: &mut &[u8]) -> Result<RawPoly, ClientError> {
             )))
         }
     };
-    let count = buf.get_u32() as usize;
-    let n = buf.get_u32() as usize;
-    if count
-        .checked_mul(n)
-        .and_then(|c| c.checked_mul(8))
-        .is_none_or(|b| buf.remaining() < b)
-    {
-        return Err(ClientError::Serialization(
-            "truncated polynomial body".into(),
-        ));
-    }
+    let count = r.u32()? as usize;
+    let n = r.u32()? as usize;
+    let limb_bytes = n.saturating_mul(8);
+    let count = r.check_count(count, limb_bytes, "polynomial limbs")?;
     let mut limbs = Vec::with_capacity(count);
     for _ in 0..count {
-        let mut limb = Vec::with_capacity(n);
-        for _ in 0..n {
-            limb.push(buf.get_u64_le());
-        }
-        limbs.push(limb);
+        let limb = r.bytes(limb_bytes)?.chunks_exact(8).map(|w| {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            u64::from_le_bytes(word)
+        });
+        limbs.push(limb.collect());
     }
     Ok(RawPoly { limbs, domain })
 }
@@ -260,22 +254,17 @@ impl RawCiphertext {
     ///
     /// [`ClientError::Serialization`] describing the corruption if the frame
     /// is malformed.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut data;
-        if buf.remaining() < 28 {
-            return Err(ClientError::Serialization(
-                "truncated ciphertext header".into(),
-            ));
-        }
-        if buf.get_u32() != MAGIC {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(data);
+        if r.u32()? != MAGIC {
             return Err(ClientError::Serialization("bad magic".into()));
         }
-        let level = buf.get_u32() as usize;
-        let scale = buf.get_f64();
-        let slots = buf.get_u32() as usize;
-        let noise_log2 = buf.get_f64();
-        let c0 = get_poly(buf)?;
-        let c1 = get_poly(buf)?;
+        let level = r.u32()? as usize;
+        let scale = r.f64()?;
+        let slots = r.u32()? as usize;
+        let noise_log2 = r.f64()?;
+        let c0 = get_poly(&mut r)?;
+        let c1 = get_poly(&mut r)?;
         Ok(Self {
             c0,
             c1,

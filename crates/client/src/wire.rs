@@ -19,11 +19,14 @@
 //! compact explicit binary framing as [`RawCiphertext::to_bytes`] — the
 //! vendored `serde` is a no-op stand-in, so nothing here depends on it.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
+use crate::codec::Reader;
 use crate::error::ClientError;
+use crate::persist::KeySetRecord;
 use crate::raw::{
     get_poly, put_poly, RawCiphertext, RawKeyDigit, RawParams, RawPlaintext, RawSwitchingKey,
+    MIN_POLY_BYTES,
 };
 
 /// Stable fingerprint of a parameter set (FNV-1a over the canonical
@@ -288,28 +291,16 @@ const SESSION_MAGIC: u32 = 0xF1DE_5E55;
 const EVAL_MAGIC: u32 = 0xF1DE_0E4A;
 const RESP_MAGIC: u32 = 0xF1DE_0E4B;
 
-pub(crate) fn need(buf: &[u8], bytes: usize, what: &str) -> Result<(), ClientError> {
-    if buf.remaining() < bytes {
-        return Err(ClientError::Serialization(format!("truncated {what}")));
-    }
-    Ok(())
-}
-
 fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn get_string(buf: &mut &[u8]) -> Result<String, ClientError> {
-    need(buf, 4, "string header")?;
-    let len = buf.get_u32() as usize;
-    need(buf, len, "string body")?;
-    let (head, rest) = buf.split_at(len);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| ClientError::Serialization("non-UTF8 string".into()))?
-        .to_string();
-    *buf = rest;
-    Ok(s)
+fn get_string(r: &mut Reader) -> Result<String, ClientError> {
+    let len = r.u32()? as usize;
+    std::str::from_utf8(r.bytes(len)?)
+        .map(str::to_string)
+        .map_err(|_| ClientError::Serialization("non-UTF8 string".into()))
 }
 
 pub(crate) fn put_plaintext(buf: &mut Vec<u8>, pt: &RawPlaintext) {
@@ -319,21 +310,16 @@ pub(crate) fn put_plaintext(buf: &mut Vec<u8>, pt: &RawPlaintext) {
     put_poly(buf, &pt.poly);
 }
 
-pub(crate) fn get_plaintext(buf: &mut &[u8]) -> Result<RawPlaintext, ClientError> {
-    need(buf, 16, "plaintext header")?;
-    let level = buf.get_u32() as usize;
-    let scale = buf.get_f64();
-    let slots = buf.get_u32() as usize;
-    let poly = get_poly(buf)?;
+pub(crate) fn get_plaintext(r: &mut Reader) -> Result<RawPlaintext, ClientError> {
     Ok(RawPlaintext {
-        poly,
-        level,
-        scale,
-        slots,
+        level: r.u32()? as usize,
+        scale: r.f64()?,
+        slots: r.u32()? as usize,
+        poly: get_poly(r)?,
     })
 }
 
-pub(crate) fn put_key(buf: &mut Vec<u8>, key: &RawSwitchingKey) {
+fn put_key(buf: &mut Vec<u8>, key: &RawSwitchingKey) {
     buf.put_u32(key.digits.len() as u32);
     for d in &key.digits {
         put_poly(buf, &d.b);
@@ -341,19 +327,18 @@ pub(crate) fn put_key(buf: &mut Vec<u8>, key: &RawSwitchingKey) {
     }
 }
 
-pub(crate) fn get_key(buf: &mut &[u8]) -> Result<RawSwitchingKey, ClientError> {
-    need(buf, 4, "key header")?;
-    let dnum = buf.get_u32() as usize;
+fn get_key(r: &mut Reader) -> Result<RawSwitchingKey, ClientError> {
+    let dnum = r.count(2 * MIN_POLY_BYTES, "key digits")?;
     let mut digits = Vec::with_capacity(dnum);
     for _ in 0..dnum {
-        let b = get_poly(buf)?;
-        let a = get_poly(buf)?;
+        let b = get_poly(r)?;
+        let a = get_poly(r)?;
         digits.push(RawKeyDigit { b, a });
     }
     Ok(RawSwitchingKey { digits })
 }
 
-pub(crate) fn put_opt_key(buf: &mut Vec<u8>, key: &Option<RawSwitchingKey>) {
+fn put_opt_key(buf: &mut Vec<u8>, key: &Option<RawSwitchingKey>) {
     match key {
         None => buf.put_u8(0),
         Some(k) => {
@@ -363,15 +348,49 @@ pub(crate) fn put_opt_key(buf: &mut Vec<u8>, key: &Option<RawSwitchingKey>) {
     }
 }
 
-pub(crate) fn get_opt_key(buf: &mut &[u8]) -> Result<Option<RawSwitchingKey>, ClientError> {
-    need(buf, 1, "key presence tag")?;
-    match buf.get_u8() {
+fn get_opt_key(r: &mut Reader) -> Result<Option<RawSwitchingKey>, ClientError> {
+    match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(get_key(buf)?)),
+        1 => Ok(Some(get_key(r)?)),
         t => Err(ClientError::Serialization(format!(
             "invalid key presence tag {t}"
         ))),
     }
+}
+
+/// The key body a [`SessionRequest`] and a persisted
+/// [`KeySetRecord`] share: relinearization key, rotation keys by shift,
+/// conjugation key.
+pub(crate) fn put_key_set(
+    buf: &mut Vec<u8>,
+    relin: &Option<RawSwitchingKey>,
+    rotations: &[(i32, RawSwitchingKey)],
+    conjugation: &Option<RawSwitchingKey>,
+) {
+    put_opt_key(buf, relin);
+    buf.put_u32(rotations.len() as u32);
+    for (shift, key) in rotations {
+        buf.put_u32(*shift as u32);
+        put_key(buf, key);
+    }
+    put_opt_key(buf, conjugation);
+}
+
+/// Reads the key body [`put_key_set`] writes.
+pub(crate) fn get_key_set(r: &mut Reader) -> Result<KeySetRecord, ClientError> {
+    let relin = get_opt_key(r)?;
+    // A rotation is its shift plus the key's digit count.
+    let num_rot = r.count(8, "rotation keys")?;
+    let mut rotations = Vec::with_capacity(num_rot);
+    for _ in 0..num_rot {
+        let shift = r.u32()? as i32;
+        rotations.push((shift, get_key(r)?));
+    }
+    Ok(KeySetRecord {
+        relin,
+        rotations,
+        conjugation: get_opt_key(r)?,
+    })
 }
 
 fn put_ciphertext(buf: &mut Vec<u8>, ct: &RawCiphertext) {
@@ -380,14 +399,9 @@ fn put_ciphertext(buf: &mut Vec<u8>, ct: &RawCiphertext) {
     buf.extend_from_slice(&frame);
 }
 
-fn get_ciphertext(buf: &mut &[u8]) -> Result<RawCiphertext, ClientError> {
-    need(buf, 8, "ciphertext frame header")?;
-    let len = buf.get_u64_le() as usize;
-    need(buf, len, "ciphertext frame body")?;
-    let (head, rest) = buf.split_at(len);
-    let ct = RawCiphertext::from_bytes(head)?;
-    *buf = rest;
-    Ok(ct)
+fn get_ciphertext(r: &mut Reader) -> Result<RawCiphertext, ClientError> {
+    let len = usize::try_from(r.u64_le()?).unwrap_or(usize::MAX);
+    RawCiphertext::from_bytes(r.bytes(len)?)
 }
 
 fn put_op(buf: &mut Vec<u8>, op: &ProgramOp) {
@@ -447,70 +461,27 @@ fn put_op(buf: &mut Vec<u8>, op: &ProgramOp) {
     }
 }
 
-fn get_op(buf: &mut &[u8]) -> Result<ProgramOp, ClientError> {
-    need(buf, 5, "program op")?;
-    let tag = buf.get_u8();
-    let a = buf.get_u32();
+fn get_op(r: &mut Reader) -> Result<ProgramOp, ClientError> {
+    let tag = r.u8()?;
+    let a = r.u32()?;
     Ok(match tag {
-        0 => {
-            need(buf, 4, "op operand")?;
-            ProgramOp::Add {
-                a,
-                b: buf.get_u32(),
-            }
-        }
-        1 => {
-            need(buf, 4, "op operand")?;
-            ProgramOp::Sub {
-                a,
-                b: buf.get_u32(),
-            }
-        }
-        2 => {
-            need(buf, 4, "op operand")?;
-            ProgramOp::Mul {
-                a,
-                b: buf.get_u32(),
-            }
-        }
+        0 => ProgramOp::Add { a, b: r.u32()? },
+        1 => ProgramOp::Sub { a, b: r.u32()? },
+        2 => ProgramOp::Mul { a, b: r.u32()? },
         3 => ProgramOp::Square { a },
         4 => ProgramOp::Negate { a },
-        5 => {
-            need(buf, 8, "op operand")?;
-            ProgramOp::AddScalar {
-                a,
-                c: buf.get_f64(),
-            }
-        }
-        6 => {
-            need(buf, 8, "op operand")?;
-            ProgramOp::MulScalar {
-                a,
-                c: buf.get_f64(),
-            }
-        }
-        7 => {
-            need(buf, 8, "op operand")?;
-            ProgramOp::MulInt {
-                a,
-                k: buf.get_u64_le() as i64,
-            }
-        }
-        8 => {
-            need(buf, 4, "op operand")?;
-            ProgramOp::Rotate {
-                a,
-                k: buf.get_u32() as i32,
-            }
-        }
+        5 => ProgramOp::AddScalar { a, c: r.f64()? },
+        6 => ProgramOp::MulScalar { a, c: r.f64()? },
+        7 => ProgramOp::MulInt {
+            a,
+            k: r.u64_le()? as i64,
+        },
+        8 => ProgramOp::Rotate {
+            a,
+            k: r.u32()? as i32,
+        },
         9 => ProgramOp::Conjugate { a },
-        10 => {
-            need(buf, 4, "op operand")?;
-            ProgramOp::MulPlain {
-                a,
-                plain: buf.get_u32(),
-            }
-        }
+        10 => ProgramOp::MulPlain { a, plain: r.u32()? },
         t => {
             return Err(ClientError::Serialization(format!(
                 "invalid program op tag {t}"
@@ -532,20 +503,18 @@ impl OpProgram {
         }
     }
 
-    fn get(buf: &mut &[u8]) -> Result<Self, ClientError> {
-        need(buf, 8, "program header")?;
-        let inputs = buf.get_u32();
-        let num_ops = buf.get_u32() as usize;
-        let mut ops = Vec::with_capacity(num_ops.min(1 << 16));
+    fn get(r: &mut Reader) -> Result<Self, ClientError> {
+        let inputs = r.u32()?;
+        // An op is at least its tag and first operand.
+        let num_ops = r.count(5, "program ops")?;
+        let mut ops = Vec::with_capacity(num_ops);
         for _ in 0..num_ops {
-            ops.push(get_op(buf)?);
+            ops.push(get_op(r)?);
         }
-        need(buf, 4, "program outputs")?;
-        let num_out = buf.get_u32() as usize;
-        need(buf, num_out.saturating_mul(4), "program outputs")?;
-        let mut outputs = Vec::with_capacity(num_out.min(1 << 16));
+        let num_out = r.count(4, "program outputs")?;
+        let mut outputs = Vec::with_capacity(num_out);
         for _ in 0..num_out {
-            outputs.push(buf.get_u32());
+            outputs.push(r.u32()?);
         }
         Ok(Self {
             inputs,
@@ -561,13 +530,7 @@ impl SessionRequest {
         let mut buf = Vec::new();
         buf.put_u32(SESSION_MAGIC);
         buf.put_u64_le(self.params_hash);
-        put_opt_key(&mut buf, &self.relin);
-        buf.put_u32(self.rotations.len() as u32);
-        for (shift, key) in &self.rotations {
-            buf.put_u32(*shift as u32);
-            put_key(&mut buf, key);
-        }
-        put_opt_key(&mut buf, &self.conjugation);
+        put_key_set(&mut buf, &self.relin, &self.rotations, &self.conjugation);
         buf.put_u32(self.plaintexts.len() as u32);
         for pt in &self.plaintexts {
             put_plaintext(&mut buf, pt);
@@ -580,28 +543,22 @@ impl SessionRequest {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] describing the corruption.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut data;
-        need(buf, 12, "session request header")?;
-        if buf.get_u32() != SESSION_MAGIC {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(data);
+        if r.u32()? != SESSION_MAGIC {
             return Err(ClientError::Serialization("bad session magic".into()));
         }
-        let params_hash = buf.get_u64_le();
-        let relin = get_opt_key(buf)?;
-        need(buf, 4, "rotation count")?;
-        let num_rot = buf.get_u32() as usize;
-        let mut rotations = Vec::with_capacity(num_rot.min(1 << 12));
-        for _ in 0..num_rot {
-            need(buf, 4, "rotation shift")?;
-            let shift = buf.get_u32() as i32;
-            rotations.push((shift, get_key(buf)?));
-        }
-        let conjugation = get_opt_key(buf)?;
-        need(buf, 4, "plaintext count")?;
-        let num_pt = buf.get_u32() as usize;
-        let mut plaintexts = Vec::with_capacity(num_pt.min(1 << 12));
+        let params_hash = r.u64_le()?;
+        let KeySetRecord {
+            relin,
+            rotations,
+            conjugation,
+        } = get_key_set(&mut r)?;
+        // A plaintext is at least its 16-byte header and a polynomial header.
+        let num_pt = r.count(16 + MIN_POLY_BYTES, "plaintexts")?;
+        let mut plaintexts = Vec::with_capacity(num_pt);
         for _ in 0..num_pt {
-            plaintexts.push(get_plaintext(buf)?);
+            plaintexts.push(get_plaintext(&mut r)?);
         }
         Ok(Self {
             params_hash,
@@ -632,19 +589,19 @@ impl EvalRequest {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] describing the corruption.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut data;
-        need(buf, 16, "eval request header")?;
-        if buf.get_u32() != EVAL_MAGIC {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(data);
+        if r.u32()? != EVAL_MAGIC {
             return Err(ClientError::Serialization("bad request magic".into()));
         }
-        let session_id = buf.get_u64_le();
-        let num_in = buf.get_u32() as usize;
-        let mut inputs = Vec::with_capacity(num_in.min(1 << 12));
+        let session_id = r.u64_le()?;
+        // A ciphertext is at least its 8-byte frame length.
+        let num_in = r.count(8, "input ciphertexts")?;
+        let mut inputs = Vec::with_capacity(num_in);
         for _ in 0..num_in {
-            inputs.push(get_ciphertext(buf)?);
+            inputs.push(get_ciphertext(&mut r)?);
         }
-        let program = OpProgram::get(buf)?;
+        let program = OpProgram::get(&mut r)?;
         Ok(Self {
             session_id,
             inputs,
@@ -693,26 +650,24 @@ impl EvalResponse {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] describing the corruption.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut data;
-        need(buf, 5, "response header")?;
-        if buf.get_u32() != RESP_MAGIC {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(data);
+        if r.u32()? != RESP_MAGIC {
             return Err(ClientError::Serialization("bad response magic".into()));
         }
-        let error = match buf.get_u8() {
+        let error = match r.u8()? {
             0 => None,
-            1 => Some(get_string(buf)?),
+            1 => Some(get_string(&mut r)?),
             t => {
                 return Err(ClientError::Serialization(format!(
                     "invalid response status tag {t}"
                 )))
             }
         };
-        need(buf, 4, "output count")?;
-        let num_out = buf.get_u32() as usize;
-        let mut outputs = Vec::with_capacity(num_out.min(1 << 12));
+        let num_out = r.count(8, "output ciphertexts")?;
+        let mut outputs = Vec::with_capacity(num_out);
         for _ in 0..num_out {
-            outputs.push(get_ciphertext(buf)?);
+            outputs.push(get_ciphertext(&mut r)?);
         }
         Ok(Self { outputs, error })
     }
@@ -866,13 +821,13 @@ impl FrameDecoder {
         if self.buf.len() < FRAME_HEADER_LEN {
             return Ok(None);
         }
-        let mut head = &self.buf[..FRAME_HEADER_LEN];
-        if head.get_u32() != FRAME_MAGIC {
+        let mut head = Reader::new(&self.buf[..FRAME_HEADER_LEN]);
+        if head.u32()? != FRAME_MAGIC {
             return Err(ClientError::Serialization("bad frame magic".into()));
         }
-        let kind = FrameKind::from_u8(head.get_u8())?;
-        let seq = head.get_u64_le();
-        let len = head.get_u32() as usize;
+        let kind = FrameKind::from_u8(head.u8()?)?;
+        let seq = head.u64_le()?;
+        let len = head.u32()? as usize;
         if len > self.max_len {
             return Err(ClientError::FrameTooLarge {
                 len: len as u64,
@@ -953,16 +908,12 @@ impl Reject {
     /// # Errors
     ///
     /// [`ClientError::Serialization`] describing the corruption.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, ClientError> {
-        let buf = &mut data;
-        need(buf, 9, "reject header")?;
-        let code = RejectCode::from_u8(buf.get_u8())?;
-        let retry_after_ticks = buf.get_u64_le();
-        let message = get_string(buf)?;
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ClientError> {
+        let mut r = Reader::new(data);
         Ok(Self {
-            code,
-            retry_after_ticks,
-            message,
+            code: RejectCode::from_u8(r.u8()?)?,
+            retry_after_ticks: r.u64_le()?,
+            message: get_string(&mut r)?,
         })
     }
 }
@@ -1176,5 +1127,62 @@ mod tests {
         };
         assert_eq!(rej, Reject::from_bytes(&rej.to_bytes()).unwrap());
         assert!(Reject::from_bytes(&[0xFF]).is_err());
+    }
+
+    /// Encodings pinned byte for byte: any codec change that alters what
+    /// goes on the wire fails here.
+    #[test]
+    fn encodings_match_pinned_bytes() {
+        const EVAL_REQUEST: &str = concat!(
+            "f1de0e4a2a0000000000000000000002ae00000000000000f1de517b00000001",
+            "4270000000000000000000024025000000000000010000000200000004010000",
+            "0000000000020000000000000003000000000000000400000000000000050000",
+            "0000000000060000000000000007000000000000000800000000000000010000",
+            "00020000000409000000000000000a000000000000000b000000000000000c00",
+            "0000000000000d000000000000000e000000000000000f000000000000001000",
+            "000000000000ae00000000000000f1de517b0000000142700000000000000000",
+            "0002402500000000000001000000020000000401000000000000000200000000",
+            "0000000300000000000000040000000000000005000000000000000600000000",
+            "0000000700000000000000080000000000000001000000020000000409000000",
+            "000000000a000000000000000b000000000000000c000000000000000d000000",
+            "000000000e000000000000000f00000000000000100000000000000000000002",
+            "00000005000000000000000001030000000206000000033fd000000000000008",
+            "00000004ffffffff0a00000005000000000000000100000006",
+        );
+        const RESPONSE_OK: &str = concat!(
+            "f1de0e4b0000000001ae00000000000000f1de517b0000000142700000000000",
+            "0000000002402500000000000001000000020000000401000000000000000200",
+            "0000000000000300000000000000040000000000000005000000000000000600",
+            "0000000000000700000000000000080000000000000001000000020000000409",
+            "000000000000000a000000000000000b000000000000000c000000000000000d",
+            "000000000000000e000000000000000f000000000000001000000000000000",
+        );
+        const RESPONSE_FAILED: &str = concat!(
+            "f1de0e4b01000000146d697373696e6720726f746174696f6e206b6579000000",
+            "00",
+        );
+        const REJECT: &str = "0103000000000000000000000a71756575652066756c6c";
+        const FRAME: &str = "f1def4a304070000000000000000000003010203";
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let req = EvalRequest {
+            session_id: 42,
+            inputs: vec![sample_ct(), sample_ct()],
+            program: sample_program(),
+        };
+        assert_eq!(hex(&req.to_bytes()), EVAL_REQUEST);
+        let ok = EvalResponse::ok(vec![sample_ct()]);
+        assert_eq!(hex(&ok.to_bytes()), RESPONSE_OK);
+        let failed = EvalResponse::failed("missing rotation key");
+        assert_eq!(hex(&failed.to_bytes()), RESPONSE_FAILED);
+        let rej = Reject {
+            code: RejectCode::Overloaded,
+            retry_after_ticks: 3,
+            message: "queue full".into(),
+        };
+        assert_eq!(hex(&rej.to_bytes()), REJECT);
+        let frame = Frame::new(FrameKind::EvalDone, 7, vec![1, 2, 3]);
+        assert_eq!(hex(&frame.encode()), FRAME);
     }
 }

@@ -281,8 +281,8 @@ proptest! {
         }
     }
 
-    /// Lying lengths *inside* the bound cost at most one bounded buffer
-    /// and end in a typed error (either truncation or CRC desync), not a
+    /// Lying lengths *inside* the bound cost no more than the bytes that
+    /// actually arrive and end in a typed error (either truncation or CRC desync), not a
     /// `len`-sized allocation of garbage.
     #[test]
     fn lying_length_within_bound_is_typed(seed in any::<u64>(), declared in 1u32..1 << 20) {
@@ -295,4 +295,44 @@ proptest! {
         bad[9..13].copy_from_slice(&declared.to_be_bytes());
         prop_assert!(decode_typed(&bad[..]).is_err());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A 4-byte window of a valid `KeySetRecord` or `SessionRecord`
+    /// payload overwritten with `u32::MAX` or a random word decodes to a
+    /// value or a typed error — a hostile count is refused before it sizes
+    /// an allocation.
+    #[test]
+    fn clobbered_count_windows_are_typed(
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+        word in any::<u32>(),
+        max in any::<bool>(),
+    ) {
+        let records = gen_records(seed);
+        let word = if max { u32::MAX } else { word };
+        for (kind, payload) in &records {
+            let bad = clobber(payload, pick, word);
+            let outcome = match *kind {
+                kind::KEY_SET => KeySetRecord::decode(&bad).map(drop),
+                kind::SESSION => SessionRecord::decode(&bad).map(drop),
+                _ => continue,
+            };
+            prop_assert!(
+                matches!(outcome, Ok(()) | Err(ClientError::Serialization(_))),
+                "kind {kind}: {outcome:?}"
+            );
+        }
+    }
+}
+
+/// Overwrites the 4-byte window at `pick` (mod the payload length) with
+/// `word`.
+fn clobber(payload: &[u8], pick: u64, word: u32) -> Vec<u8> {
+    let mut bad = payload.to_vec();
+    let at = (pick % (bad.len() as u64 - 3)) as usize;
+    bad[at..at + 4].copy_from_slice(&word.to_be_bytes());
+    bad
 }

@@ -3,12 +3,17 @@
 //! flips, pure garbage — the decoder must return a typed error or keep
 //! waiting for more input. It must never panic, never allocate the
 //! declared (attacker-controlled) length, and never mis-frame a stream
-//! that later turns valid after an error was reported.
+//! that later turns valid after an error was reported. The payload
+//! codecs get the same treatment: a count overwritten with a huge value
+//! must be refused before it sizes an allocation.
 
 use fides_client::wire::{
-    Frame, FrameDecoder, FrameKind, Reject, RejectCode, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+    EvalRequest, EvalResponse, Frame, FrameDecoder, FrameKind, OpProgram, ProgramOp, Reject,
+    RejectCode, SessionRequest, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
-use fides_client::ClientError;
+use fides_client::{
+    ClientError, Domain, RawCiphertext, RawKeyDigit, RawPlaintext, RawPoly, RawSwitchingKey,
+};
 use proptest::prelude::*;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -35,6 +40,80 @@ fn sample_frames(seed: u64, n: usize) -> Vec<Frame> {
             Frame::new(kind, seed.wrapping_add(i as u64), payload)
         })
         .collect()
+}
+
+fn gen_poly(s: &mut u64) -> RawPoly {
+    let limbs = 1 + (xorshift(s) % 3) as usize;
+    let n = 4 << (xorshift(s) % 2);
+    RawPoly {
+        limbs: (0..limbs)
+            .map(|_| (0..n).map(|_| xorshift(s)).collect())
+            .collect(),
+        domain: Domain::Eval,
+    }
+}
+
+fn gen_key(s: &mut u64) -> RawSwitchingKey {
+    RawSwitchingKey {
+        digits: (0..1 + xorshift(s) % 3)
+            .map(|_| RawKeyDigit {
+                b: gen_poly(s),
+                a: gen_poly(s),
+            })
+            .collect(),
+    }
+}
+
+fn gen_ct(s: &mut u64) -> RawCiphertext {
+    RawCiphertext {
+        c0: gen_poly(s),
+        c1: gen_poly(s),
+        level: (xorshift(s) % 4) as usize,
+        scale: 2f64.powi(40),
+        slots: 4,
+        noise_log2: 10.0,
+    }
+}
+
+/// One valid encoding of each request/response payload from a seed.
+fn gen_payloads(seed: u64) -> [Vec<u8>; 3] {
+    let mut s = seed | 1;
+    let session = SessionRequest {
+        params_hash: xorshift(&mut s),
+        relin: Some(gen_key(&mut s)),
+        rotations: (0..xorshift(&mut s) % 3)
+            .map(|_| (xorshift(&mut s) as i32 % 64, gen_key(&mut s)))
+            .collect(),
+        conjugation: (xorshift(&mut s) % 2 == 0).then(|| gen_key(&mut s)),
+        plaintexts: (0..xorshift(&mut s) % 3)
+            .map(|_| RawPlaintext {
+                poly: gen_poly(&mut s),
+                level: 1,
+                scale: 2f64.powi(40),
+                slots: 4,
+            })
+            .collect(),
+    };
+    let mut program = OpProgram::new(2);
+    let sum = program.push(ProgramOp::Add { a: 0, b: 1 });
+    let rot = program.push(ProgramOp::Rotate { a: sum, k: -3 });
+    program.output(rot);
+    let eval = EvalRequest {
+        session_id: xorshift(&mut s),
+        inputs: vec![gen_ct(&mut s), gen_ct(&mut s)],
+        program,
+    };
+    let response = EvalResponse::ok(vec![gen_ct(&mut s)]);
+    [session.to_bytes(), eval.to_bytes(), response.to_bytes()]
+}
+
+/// Overwrites the 4-byte window at `pick` (mod the payload length) with
+/// `word` — wherever it lands on a count, the decoder sees a hostile one.
+fn clobber(payload: &[u8], pick: u64, word: u32) -> Vec<u8> {
+    let mut bad = payload.to_vec();
+    let at = (pick % (bad.len() as u64 - 3)) as usize;
+    bad[at..at + 4].copy_from_slice(&word.to_be_bytes());
+    bad
 }
 
 proptest! {
@@ -198,4 +277,27 @@ fn max_len_boundary_roundtrips() {
         Err(ClientError::FrameTooLarge { .. })
     ));
     const _: () = assert!(MAX_FRAME_LEN >= 1 << 20, "default admits real key uploads");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A 4-byte window of a valid `SessionRequest`, `EvalRequest` or
+    /// `EvalResponse` overwritten with `u32::MAX` or a random word decodes
+    /// to a value or a typed error — never a panic, never an allocation
+    /// sized by the hostile count.
+    #[test]
+    fn clobbered_count_windows_are_typed(
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+        word in any::<u32>(),
+        max in any::<bool>(),
+    ) {
+        let [session, eval, response] = gen_payloads(seed);
+        let word = if max { u32::MAX } else { word };
+        let typed = |r: Result<(), ClientError>| matches!(r, Ok(()) | Err(ClientError::Serialization(_)));
+        prop_assert!(typed(SessionRequest::from_bytes(&clobber(&session, pick, word)).map(drop)));
+        prop_assert!(typed(EvalRequest::from_bytes(&clobber(&eval, pick, word)).map(drop)));
+        prop_assert!(typed(EvalResponse::from_bytes(&clobber(&response, pick, word)).map(drop)));
+    }
 }

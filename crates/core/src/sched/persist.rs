@@ -14,14 +14,15 @@
 //! first-occurrence correspondence. That is what makes a restored plan
 //! valid on a brand-new device context.
 //!
-//! Decoding mirrors the wire layer's hostile-input discipline: every
-//! length is bounds-checked before use, allocations are capped, kernel
-//! tags and efficiencies are validated, and every failure is a typed
-//! [`ClientError`] — never a panic.
+//! Decoding goes through the same bounded [`Reader`] as the wire layer:
+//! every count is checked against the bytes left before anything is
+//! allocated, kernel tags and efficiencies are validated, and every
+//! failure is a typed [`ClientError`] — never a panic.
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+use fides_client::codec::Reader;
 use fides_client::ClientError;
 use fides_gpu_sim::{BufferId, KernelDesc, KernelKind};
 
@@ -30,13 +31,6 @@ use super::plan::{ExecPlan, PlanStep, SchedStats};
 const STEP_LAUNCH: u8 = 0;
 const STEP_FENCE: u8 = 1;
 const KIND_NONE: u8 = 0xFF;
-
-fn need(buf: &[u8], bytes: usize, what: &str) -> Result<(), ClientError> {
-    if buf.remaining() < bytes {
-        return Err(ClientError::Serialization(format!("truncated {what}")));
-    }
-    Ok(())
-}
 
 fn kind_tag(kind: Option<KernelKind>) -> u8 {
     match kind {
@@ -83,15 +77,11 @@ fn put_access_list(buf: &mut Vec<u8>, list: &[(BufferId, u64)]) {
     }
 }
 
-fn get_access_list(buf: &mut &[u8]) -> Result<Vec<(BufferId, u64)>, ClientError> {
-    need(buf, 4, "access-list header")?;
-    let n = buf.get_u32() as usize;
-    need(buf, n.saturating_mul(16), "access-list entries")?;
-    let mut list = Vec::with_capacity(n.min(1 << 16));
+fn get_access_list(r: &mut Reader) -> Result<Vec<(BufferId, u64)>, ClientError> {
+    let n = r.count(16, "access-list entries")?;
+    let mut list = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = buf.get_u64_le();
-        let bytes = buf.get_u64_le();
-        list.push((BufferId(id), bytes));
+        list.push((BufferId(r.u64_le()?), r.u64_le()?));
     }
     Ok(list)
 }
@@ -104,14 +94,12 @@ fn put_desc(buf: &mut Vec<u8>, desc: &KernelDesc) {
     buf.put_f64(desc.access_efficiency);
 }
 
-fn get_desc(buf: &mut &[u8]) -> Result<KernelDesc, ClientError> {
-    need(buf, 1, "kernel descriptor")?;
-    let kind = kind_from_tag(buf.get_u8())?;
-    let reads = get_access_list(buf)?;
-    let writes = get_access_list(buf)?;
-    need(buf, 16, "kernel descriptor tail")?;
-    let int32_ops = buf.get_u64_le();
-    let access_efficiency = buf.get_f64();
+fn get_desc(r: &mut Reader) -> Result<KernelDesc, ClientError> {
+    let kind = kind_from_tag(r.u8()?)?;
+    let reads = get_access_list(r)?;
+    let writes = get_access_list(r)?;
+    let int32_ops = r.u64_le()?;
+    let access_efficiency = r.f64()?;
     // The builder asserts this invariant; a decoder must reject instead.
     if !(access_efficiency > 0.0 && access_efficiency <= 1.0) {
         return Err(ClientError::Serialization(format!(
@@ -134,13 +122,11 @@ fn put_stream_list(buf: &mut Vec<u8>, list: &[usize]) {
     }
 }
 
-fn get_stream_list(buf: &mut &[u8]) -> Result<Vec<usize>, ClientError> {
-    need(buf, 4, "stream-list header")?;
-    let n = buf.get_u32() as usize;
-    need(buf, n.saturating_mul(4), "stream-list entries")?;
-    let mut list = Vec::with_capacity(n.min(1 << 16));
+fn get_stream_list(r: &mut Reader) -> Result<Vec<usize>, ClientError> {
+    let n = r.count(4, "stream-list entries")?;
+    let mut list = Vec::with_capacity(n);
     for _ in 0..n {
-        list.push(buf.get_u32() as usize);
+        list.push(r.u32()? as usize);
     }
     Ok(list)
 }
@@ -206,33 +192,27 @@ pub fn encode_plan_entry(fp: u64, plan: &ExecPlan, binding: &[BufferId]) -> Vec<
 /// [`ClientError::Serialization`] for truncation, trailing bytes, invalid
 /// kernel tags or out-of-range efficiencies — never panics on hostile
 /// bytes.
-pub fn decode_plan_entry(
-    mut payload: &[u8],
-) -> Result<(u64, ExecPlan, Vec<BufferId>), ClientError> {
-    let buf = &mut payload;
-    need(buf, 12, "plan entry header")?;
-    let fp = buf.get_u64_le();
-    let n_binding = buf.get_u32() as usize;
-    need(buf, n_binding.saturating_mul(8), "plan binding")?;
-    let mut binding = Vec::with_capacity(n_binding.min(1 << 16));
+pub fn decode_plan_entry(payload: &[u8]) -> Result<(u64, ExecPlan, Vec<BufferId>), ClientError> {
+    let mut r = Reader::new(payload);
+    let fp = r.u64_le()?;
+    let n_binding = r.count(8, "plan binding")?;
+    let mut binding = Vec::with_capacity(n_binding);
     for _ in 0..n_binding {
-        binding.push(BufferId(buf.get_u64_le()));
+        binding.push(BufferId(r.u64_le()?));
     }
-    need(buf, 4, "plan step count")?;
-    let n_steps = buf.get_u32() as usize;
-    let mut steps = Vec::with_capacity(n_steps.min(1 << 16));
+    // A step is at least a fence: its tag and two empty stream lists.
+    let n_steps = r.count(9, "plan steps")?;
+    let mut steps = Vec::with_capacity(n_steps);
     for _ in 0..n_steps {
-        need(buf, 1, "plan step tag")?;
-        match buf.get_u8() {
+        match r.u8()? {
             STEP_LAUNCH => {
-                need(buf, 4, "launch stream")?;
-                let stream = buf.get_u32() as usize;
-                let desc = get_desc(buf)?;
+                let stream = r.u32()? as usize;
+                let desc = get_desc(&mut r)?;
                 steps.push(PlanStep::Launch { stream, desc });
             }
             STEP_FENCE => {
-                let signals = get_stream_list(buf)?;
-                let waiters = get_stream_list(buf)?;
+                let signals = get_stream_list(&mut r)?;
+                let waiters = get_stream_list(&mut r)?;
                 steps.push(PlanStep::Fence { signals, waiters });
             }
             t => {
@@ -242,35 +222,25 @@ pub fn decode_plan_entry(
             }
         }
     }
-    need(buf, 6 * 8 + 3 * 8, "plan stats")?;
     let stats = SchedStats {
-        graphs: buf.get_u64_le(),
-        recorded_kernels: buf.get_u64_le(),
-        planned_launches: buf.get_u64_le(),
-        fused_kernels: buf.get_u64_le(),
-        plan_cache_hits: buf.get_u64_le(),
-        plan_cache_misses: buf.get_u64_le(),
+        graphs: r.u64_le()?,
+        recorded_kernels: r.u64_le()?,
+        planned_launches: r.u64_le()?,
+        fused_kernels: r.u64_le()?,
+        plan_cache_hits: r.u64_le()?,
+        plan_cache_misses: r.u64_le()?,
     };
     let mem = super::mem::MemPlan {
-        peak_device_bytes: buf.get_u64_le(),
-        allocations: buf.get_u64_le(),
-        buffers: buf.get_u64_le(),
+        peak_device_bytes: r.u64_le()?,
+        allocations: r.u64_le()?,
+        buffers: r.u64_le()?,
     };
-    need(buf, 4, "plan slot count")?;
-    let n_slots = buf.get_u32() as usize;
-    need(buf, n_slots.saturating_mul(16), "plan slots")?;
-    let mut slots = HashMap::with_capacity(n_slots.min(1 << 16));
+    let n_slots = r.count(16, "plan slots")?;
+    let mut slots = HashMap::with_capacity(n_slots);
     for _ in 0..n_slots {
-        let b = buf.get_u64_le();
-        let s = buf.get_u64_le();
-        slots.insert(BufferId(b), s);
+        slots.insert(BufferId(r.u64_le()?), r.u64_le()?);
     }
-    if !buf.is_empty() {
-        return Err(ClientError::Serialization(format!(
-            "{} trailing bytes after plan entry",
-            buf.len()
-        )));
-    }
+    r.finish("plan entry")?;
     let plan = ExecPlan {
         steps,
         stats,
@@ -367,5 +337,30 @@ mod tests {
             decode_plan_entry(&payload),
             Err(ClientError::Serialization(_))
         ));
+    }
+
+    /// Every 4-byte window of a valid entry overwritten with `u32::MAX`
+    /// or a pseudo-random word decodes to a plan or a typed error: a
+    /// hostile count is refused before it sizes an allocation.
+    #[test]
+    fn clobbered_count_windows_are_typed() {
+        let cfg = PlanConfig::default();
+        let graph = sample_graph();
+        let (fp, binding) = fingerprint(&graph, &cfg);
+        let payload = encode_plan_entry(fp, &Planner::new(cfg).plan(&graph), &binding);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for at in 0..payload.len() - 3 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            for word in [u32::MAX, x as u32] {
+                let mut bad = payload.clone();
+                bad[at..at + 4].copy_from_slice(&word.to_be_bytes());
+                assert!(matches!(
+                    decode_plan_entry(&bad),
+                    Ok(_) | Err(ClientError::Serialization(_))
+                ));
+            }
+        }
     }
 }

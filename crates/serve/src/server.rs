@@ -403,22 +403,25 @@ impl Server {
     /// a [`FidesError::KeyShape`](fides_core::FidesError::KeyShape).
     pub fn open_session(&self, req: SessionRequest) -> Result<u64, ServeError> {
         check_params_hash(self.inner.params_hash, req.params_hash)?;
-        let device = match &self.inner.substrate {
+        let (device, placed) = match &self.inner.substrate {
             Substrate::Gpu { .. } => {
                 // Place before loading: keys load straight into the home
                 // shard's context. The upcoming session id keys the
                 // consistent hash, and the key-frame size is the
                 // placement's future migration cost.
                 let key_bytes = req.to_bytes().len() as u64;
-                let registry = self.inner.registry.lock();
-                self.inner
-                    .router
-                    .lock()
-                    .place(registry.next_id(), key_bytes)
+                let id = self.inner.registry.lock().next_id();
+                (self.inner.router.lock().place(id, key_bytes), Some(id))
             }
-            Substrate::Cpu { .. } => 0,
+            Substrate::Cpu { .. } => (0, None),
         };
-        let state = self.build_session(device, req)?;
+        let state = self.build_session(device, req).inspect_err(|_| {
+            // A rejected upload must not leave its placement (and key
+            // size) behind for the next tenant to take this id.
+            if let Some(id) = placed {
+                self.inner.router.lock().remove(id);
+            }
+        })?;
         let id = self.inner.registry.lock().insert(state);
         self.inner.stats.lock().sessions_opened += 1;
         Ok(id)

@@ -10,12 +10,12 @@
 //! format v1 on disk and would orphan every existing snapshot.
 
 use fides_client::persist::{
-    kind, KeySetRecord, ParamsRecord, PlacementRecord, PlaintextRecord, RecordReader,
+    kind, KeySetRecord, ParamsRecord, PlacementRecord, PlaintextRecord, RecordReader, RecordWriter,
     ServerMetaRecord, SessionRecord,
 };
 use fides_client::wire::{OpProgram, ProgramOp};
 use fides_client::ClientError;
-use fides_core::sched::decode_plan_entry;
+use fides_core::sched::{decode_plan_entry, encode_plan_entry};
 use fides_core::CkksParameters;
 use fides_serve::{ServeError, Server, ServerConfig};
 
@@ -91,6 +91,45 @@ fn committed_fixtures_decode_typed() {
     assert_eq!(kinds[1], kind::SERVER, "server meta follows params");
     assert!(kinds.contains(&kind::SESSION), "snapshot holds a session");
     assert!(kinds.contains(&kind::PLAN), "snapshot holds the hot plan");
+}
+
+/// Decoding is lossless: every record payload of every committed fixture
+/// — the SESSION record's embedded `SessionRequest` and the PLAN entries
+/// included — re-encodes to exactly the committed bytes, and so does the
+/// whole stream.
+#[test]
+fn committed_fixtures_reencode_byte_identical() {
+    for name in FIXTURES {
+        let bytes = fixture(name);
+        let mut r = RecordReader::new(&bytes[..]).unwrap();
+        let mut w = RecordWriter::new(Vec::new()).unwrap();
+        while let Some(rec) = r.next_record().unwrap() {
+            let p = &rec.payload;
+            let again = match rec.kind {
+                kind::PARAMS => ParamsRecord::decode(p).unwrap().encode(),
+                kind::KEY_SET => KeySetRecord::decode(p).unwrap().encode(),
+                kind::PLAINTEXT => PlaintextRecord::decode(p).unwrap().encode(),
+                kind::SESSION => SessionRecord::decode(p).unwrap().encode(),
+                kind::PLACEMENT => PlacementRecord::decode(p).unwrap().encode(),
+                kind::SERVER => ServerMetaRecord::decode(p).unwrap().encode(),
+                kind::PLAN => {
+                    let (fp, plan, binding) = decode_plan_entry(p).unwrap();
+                    encode_plan_entry(fp, &plan, &binding)
+                }
+                other => panic!("{name}: unknown record kind {other}"),
+            };
+            assert!(
+                again == *p,
+                "{name}: kind {} re-encodes differently",
+                rec.kind
+            );
+            w.record(rec.kind, &again).unwrap();
+        }
+        assert!(
+            w.finish().unwrap() == bytes,
+            "{name}: stream re-encodes differently"
+        );
+    }
 }
 
 /// Every single-bit flip of a committed fixture must fail decode with a
